@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # CI entry point: full build, test suite, and a bench smoke run.
 # Assumes an opam switch with OCaml >= 5.1 and the repo's dependencies
-# (fmt, logs, cmdliner, alcotest, qcheck(-alcotest,-core), bechamel)
+# (fmt, cmdliner, alcotest, qcheck(-alcotest,-core), bechamel)
 # already installed — see README "Install & run".
 #
 # The test and smoke steps run under `timeout`: a hung search must fail
@@ -458,6 +458,27 @@ sys.exit(1 if bad else 0)
 EOF
 else
   echo "python3 not installed; skipping docs link check"
+fi
+
+echo "== benchmark answer checks (perfbench, 5 s per workload; 15 min cap each) =="
+# every workload audits its own answers: theorem1 re-verifies both
+# engines' witnesses, search diffs the serial, domains and cluster checks
+# byte for byte, serve checks every reply.  The result line must say so.
+if command -v python3 > /dev/null 2>&1; then
+  for W in theorem1 search serve; do
+    timeout 900 python3 perfbench/run.py --workload "$W" --seed 1 --seconds 5 --trace 1 \
+      > "/tmp/ci-perfbench-$W.out"
+    if ! tail -n 1 "/tmp/ci-perfbench-$W.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+      echo "ci: perfbench $W reported a wrong or failed answer:" >&2
+      tail -n 1 "/tmp/ci-perfbench-$W.out" >&2
+      exit 1
+    fi
+  done
+else
+  echo "python3 not installed; skipping benchmark answer checks"
 fi
 
 echo "ci: ok"

@@ -34,26 +34,23 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
   let n = proto.Protocol.num_processes in
   let snk = Finding.Sink.create ~protocol:proto.Protocol.name ~pass:"determinism" in
   let pk = Ckey.packer proto in
-  let visited = Ckey.Tbl.create 256 in
-  let explored = ref 0 in
-  let q = Queue.create () in
+  let fr =
+    Frontier.create ~key:(Ckey.pack pk) ~size:256 ~loc:"determinism.visited" ~max_depth
+  in
   List.iter
     (fun inputs ->
       match Config.initial proto ~inputs with
-      | cfg0 ->
-        let k = Ckey.pack pk cfg0 in
-        if not (Ckey.Tbl.mem visited k) then begin
-          Ckey.Tbl.replace visited k ();
-          Queue.add (cfg0, 0) q
-        end
+      | cfg0 -> Frontier.add fr cfg0 cfg0
       | exception e ->
         report snk ~code:"init-raised" Finding.Error
           (Printf.sprintf "init raised: %s" (Printexc.to_string e)))
     inputs_list;
-  while not (Queue.is_empty q) do
-    let cfg, depth = Queue.pop q in
-    incr explored;
-    if depth < max_depth && !explored < max_configs then
+  (* every step is probed (twice, and from a shadow copy) before the
+     successor is enqueued, so the expansion is this pass's own *)
+  Frontier.run fr
+    ~visit:(fun _ _ ->
+      if Frontier.explored fr < max_configs then Frontier.Expand else Frontier.Skip)
+    ~expand:(fun cfg ->
       for p = 0 to n - 1 do
         (* poised must be a pure observation: ask twice *)
         let poised () = try Ok (Config.poised proto cfg p) with e -> Error (Printexc.to_string e) in
@@ -102,14 +99,8 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
                 (* expand from a fresh step so the enqueued successor is the
                    protocol's honest output, not an artifact of the probes *)
                 (match Config.step proto cfg p ~coin with
-                 | cfg', _ ->
-                   let k = Ckey.pack pk cfg' in
-                   if not (Ckey.Tbl.mem visited k) then begin
-                     Ckey.Tbl.replace visited k ();
-                     Queue.add (cfg', depth + 1) q
-                   end
+                 | cfg', _ -> Frontier.add fr cfg' cfg'
                  | exception _ -> ()))
             coins
-      done
-  done;
+      done);
   Finding.Sink.findings snk

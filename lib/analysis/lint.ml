@@ -28,12 +28,15 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
   let nregs = proto.Protocol.num_registers in
   let snk = Finding.Sink.create ~protocol:proto.Protocol.name ~pass:"lint" in
   let pk = Ckey.packer proto in
-  let visited = Ckey.Tbl.create 256 in
+  (* One shared visited table across input vectors: the footprint is a
+     property of the whole reachable space, and vectors overlap. *)
+  let fr =
+    Frontier.create ~key:(Ckey.pack pk) ~size:256 ~loc:"lint.visited" ~max_depth
+  in
   let regs_touched = Hashtbl.create 16 in
   let max_reg = ref (-1) in
   let reads = ref 0 and writes = ref 0 and swaps = ref 0 in
   let flips = ref 0 and decides = ref 0 in
-  let explored = ref 0 in
   let truncated = ref false in
   let touch r =
     Hashtbl.replace regs_touched r ();
@@ -92,29 +95,27 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
              (Value.to_string v));
       true
   in
-  (* One shared visited table across input vectors: the footprint is a
-     property of the whole reachable space, and vectors overlap. *)
-  let q = Queue.create () in
   List.iter
     (fun inputs ->
       match Config.initial proto ~inputs with
-      | cfg0 ->
-        let k = Ckey.pack pk cfg0 in
-        if not (Ckey.Tbl.mem visited k) then begin
-          Ckey.Tbl.replace visited k ();
-          Queue.add (cfg0, 0) q
-        end
+      | cfg0 -> Frontier.add fr cfg0 cfg0
       | exception e ->
         report snk ~code:"transition-raised" Finding.Error
           (Printf.sprintf "init raised on inputs [%s]: %s"
              (String.concat ";" (Array.to_list (Array.map Value.to_string inputs)))
              (Printexc.to_string e)))
     inputs_list;
-  while not (Queue.is_empty q) do
-    let cfg, depth = Queue.pop q in
-    incr explored;
-    if depth >= max_depth || !explored >= max_configs then truncated := true
-    else
+  (* stepping stays here, not in Config.iter_successors: every poised
+     action is examined before it is stepped, and a raising transition is
+     a finding rather than an abort *)
+  Frontier.run fr
+    ~visit:(fun _ _ ->
+      if Frontier.explored fr >= max_configs then begin
+        truncated := true;
+        Frontier.Skip
+      end
+      else Frontier.Expand)
+    ~expand:(fun cfg ->
       for p = 0 to n - 1 do
         match Config.poised proto cfg p with
         | None -> ()
@@ -125,12 +126,7 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
             List.iter
               (fun coin ->
                 match Config.step proto cfg p ~coin with
-                | cfg', _ ->
-                  let k = Ckey.pack pk cfg' in
-                  if not (Ckey.Tbl.mem visited k) then begin
-                    Ckey.Tbl.replace visited k ();
-                    Queue.add (cfg', depth + 1) q
-                  end
+                | cfg', _ -> Frontier.add fr cfg' cfg'
                 | exception e ->
                   report snk ~code:"transition-raised" Finding.Error
                     (Printf.sprintf "p%d's transition raised on a reachable state: %s" p
@@ -141,10 +137,10 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
           report snk ~code:"transition-raised" Finding.Error
             (Printf.sprintf "poised raised for p%d on a reachable state: %s" p
                (Printexc.to_string e))
-      done
-  done;
+      done);
+  let truncated = !truncated || Frontier.depth_capped fr in
   if !decides = 0 then
-    if !truncated then
+    if truncated then
       report snk ~code:"no-decision-within-bounds" Finding.Warning
         "no reachable configuration decides within the explored bounds"
     else
@@ -162,8 +158,8 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
       "protocol never writes shared memory within the explored bounds";
   ( findings snk,
     {
-      configs = !explored;
-      truncated = !truncated;
+      configs = Frontier.explored fr;
+      truncated;
       max_register = !max_reg;
       registers_touched = Hashtbl.length regs_touched;
       reads = !reads;

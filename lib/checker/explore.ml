@@ -55,195 +55,81 @@ type result = {
   worker_errors : (int * string) list;
 }
 
-(* Mutable per-search counter block, folded into a [stats] at the end. *)
-type counters = {
-  mutable explored : int;
-  mutable trunc : bool;
-  mutable deep : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable peak : int;
-  mutable solo_hits : int;
-  mutable solo_misses : int;
+(* The solo/group-termination probes of one search, with their cache and
+   its hit/miss accounting. *)
+type 's prober = {
+  proto : 's Protocol.t;
+  pk : 's Ckey.packer;
+  cache : bool Ckey.Salted_tbl.t;
+  cache_loc : string;
+  solo_budget : int;
+  guard : Budget.t;
+  mutable probe_hits : int;
+  mutable probe_misses : int;
 }
 
-let fresh_counters () =
-  { explored = 0; trunc = false; deep = 0; hits = 0; misses = 0; peak = 0;
-    solo_hits = 0; solo_misses = 0 }
-
-let stats_of_counters c =
+let prober proto ~solo_budget ~guard ~loc =
   {
-    configs_explored = c.explored;
-    truncated = c.trunc;
-    deepest = c.deep;
-    table_hits = c.hits;
-    table_misses = c.misses;
-    peak_frontier = c.peak;
-    solo_cache_hits = c.solo_hits;
-    solo_cache_misses = c.solo_misses;
+    proto;
+    pk = Ckey.packer proto;
+    cache = Ckey.Salted_tbl.create 256;
+    cache_loc = Trace.fresh_loc loc;
+    solo_budget;
+    guard;
+    probe_hits = 0;
+    probe_misses = 0;
   }
 
 (* Can some process of [ps], with only (undecided) members of [ps] taking
-   steps from [cfg], decide within [budget] steps for some resolution of
-   the coin flips?  BFS over schedules with a visited set (BFS + visited is
-   complete for "reachable within budget").  Both the memo and the visited
-   table key by the packed configuration, salted with the participant
-   mask.  [Pset.singleton p] gives the classic solo-termination probe;
-   larger sets give the survivor-group probes of the t-resilience check. *)
-let group_can_decide proto pk cfg ps ~budget ~guard ~cache ~cache_loc ~counters =
-  let key = Ckey.Salted.make (Ckey.pack pk cfg) (Pset.to_mask ps) in
-  Trace.access ~loc:cache_loc Trace.Read ~atomic:false;
-  match Ckey.Salted_tbl.find_opt cache key with
+   steps from [cfg], decide within [solo_budget] steps for some resolution
+   of the coin flips?  BFS over schedules with a visited set (BFS + visited
+   is complete for "reachable within budget").  Both the memo and the
+   visited table key by the packed configuration, salted with the
+   participant mask.  [Pset.singleton p] gives the classic solo-termination
+   probe; larger sets give the survivor-group probes of the t-resilience
+   check. *)
+let group_can_decide pr cfg ps =
+  let key = Ckey.Salted.make (Ckey.pack pr.pk cfg) (Pset.to_mask ps) in
+  Trace.access ~loc:pr.cache_loc Trace.Read ~atomic:false;
+  match Ckey.Salted_tbl.find_opt pr.cache key with
   | Some r ->
-    counters.solo_hits <- counters.solo_hits + 1;
+    pr.probe_hits <- pr.probe_hits + 1;
     r
   | None ->
-    counters.solo_misses <- counters.solo_misses + 1;
-    let visited = Ckey.Tbl.create 64 in
-    let q = Queue.create () in
-    Queue.add (cfg, 0) q;
-    Ckey.Tbl.replace visited (Ckey.pack pk cfg) ();
+    pr.probe_misses <- pr.probe_misses + 1;
+    let fr =
+      Frontier.create ~key:(Ckey.pack pr.pk) ~size:64 ~loc:"explore.probe"
+        ~max_depth:pr.solo_budget
+    in
+    Frontier.add fr cfg cfg;
     let found = ref false in
-    (try
-       while not (Queue.is_empty q) do
-         let cfg, depth = Queue.pop q in
-         Budget.charge guard 1;
-         if Pset.exists (fun p -> Config.has_decided cfg p <> None) ps then begin
-           found := true;
-           raise Exit
-         end;
-         if depth < budget then
-           let push cfg' =
-             let k = Ckey.pack pk cfg' in
-             if not (Ckey.Tbl.mem visited k) then begin
-               Ckey.Tbl.replace visited k ();
-               Queue.add (cfg', depth + 1) q
-             end
-           in
-           Pset.iter
-             (fun p ->
-               match Config.poised proto cfg p with
-               | None -> ()
-               | Some Action.Flip ->
-                 push (fst (Config.step proto cfg p ~coin:(Some true)));
-                 push (fst (Config.step proto cfg p ~coin:(Some false)))
-               | Some _ -> push (fst (Config.step proto cfg p ~coin:None)))
-             ps
-       done
-     with Exit -> ());
-    Trace.access ~loc:cache_loc Trace.Write ~atomic:false;
-    Ckey.Salted_tbl.replace cache key !found;
+    Frontier.run fr
+      ~visit:(fun cfg _ ->
+        Budget.charge pr.guard 1;
+        if Pset.exists (fun p -> Config.has_decided cfg p <> None) ps then begin
+          found := true;
+          Frontier.Stop
+        end
+        else Frontier.Expand)
+      ~expand:(fun cfg ->
+        Config.iter_successors pr.proto cfg ps (fun _ _ cfg' -> Frontier.add fr cfg' cfg'));
+    Trace.access ~loc:pr.cache_loc Trace.Write ~atomic:false;
+    Ckey.Salted_tbl.replace pr.cache key !found;
     !found
-
-let solo_can_decide proto pk cfg p ~budget ~guard ~cache ~cache_loc ~counters =
-  group_can_decide proto pk cfg (Pset.singleton p) ~budget ~guard ~cache ~cache_loc
-    ~counters
 
 exception Found of violation
 
-(* Close one finished per-vector search into the profiler: span attributes
-   for the phase table, counter increments for the bench metrics blob.
-   The span is entered by [observed_bfs] around [bfs_reachable]. *)
-let observe_vector sp counters verdict =
-  Obs.set_int sp "configs" counters.explored;
-  Obs.set_int sp "deepest" counters.deep;
-  Obs.set_bool sp "truncated" counters.trunc;
-  Obs.set_bool sp "violation" (Result.is_error verdict);
-  Obs.close sp;
-  Obs.Metrics.incr "explore.vectors";
-  Obs.Metrics.incr ~by:counters.explored "explore.configs_explored";
-  Obs.Metrics.incr ~by:counters.hits "explore.table_hits";
-  Obs.Metrics.incr ~by:counters.misses "explore.table_misses";
-  Obs.Metrics.incr ~by:counters.solo_hits "explore.solo_cache_hits";
-  Obs.Metrics.incr ~by:counters.solo_misses "explore.solo_cache_misses";
-  Obs.Metrics.gauge_max "explore.peak_frontier" counters.peak;
-  Obs.Metrics.gauge_max "explore.deepest" counters.deep
+(* The property checks one dequeued configuration undergoes: [check cfg
+   rev_sched] raises [Found] with the first violation, building the
+   forward schedule only then. *)
+type 's examiner = {
+  check : 's Config.t -> Execution.event list -> unit;
+  probes : 's prober;
+}
 
-(* The shared BFS over one input vector's reachable configurations,
-   self-contained: its own packer, tables, budget and counters.  [examine]
-   is called on every dequeued configuration and raises [Found] to stop
-   with a violation.  This is the unit of parallelism — runs of different
-   input vectors share nothing, so fanning them out over domains produces
-   bit-identical verdicts and stats. *)
-let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
-  let pk = Ckey.packer proto in
-  (* sized to the budget, not a fixed large block: small searches (few
-     dozen configurations per input vector) shouldn't pay for 4096-bucket
-     tables they never fill *)
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let visited = Ckey.Tbl.create table_size in
-  (* each search owns its visited table; a distinct location per table
-     lets the race detector prove no cross-domain sharing ever happens *)
-  let visited_loc = Trace.fresh_loc "explore.visited" in
-  let cfg0 = Config.initial proto ~inputs in
-  (* queue holds (config, reversed schedule, depth) *)
-  let q = Queue.create () in
-  Queue.add (cfg0, [], 0) q;
-  Trace.access ~loc:visited_loc Trace.Write ~atomic:false;
-  Ckey.Tbl.replace visited (Ckey.pack pk cfg0) ();
-  counters.misses <- 1;
-  counters.peak <- 1;
-  try
-    while not (Queue.is_empty q) do
-      let cfg, rev_sched, depth = Queue.pop q in
-      counters.explored <- counters.explored + 1;
-      Budget.charge guard 1;
-      if depth > counters.deep then counters.deep <- depth;
-      examine pk cfg rev_sched;
-      if depth >= max_depth || counters.explored >= max_configs then
-        counters.trunc <- true
-      else begin
-        (* inline successor expansion: no intermediate list *)
-        let push e cfg' =
-          let key = Ckey.pack pk cfg' in
-          Trace.access ~loc:visited_loc Trace.Read ~atomic:false;
-          if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
-          else begin
-            counters.misses <- counters.misses + 1;
-            Trace.access ~loc:visited_loc Trace.Write ~atomic:false;
-            Ckey.Tbl.replace visited key ();
-            Queue.add (cfg', e :: rev_sched, depth + 1) q
-          end
-        in
-        for p = 0 to proto.Protocol.num_processes - 1 do
-          match Config.poised proto cfg p with
-          | None -> ()
-          | Some Action.Flip ->
-            push (Execution.flip p true) (fst (Config.step proto cfg p ~coin:(Some true)));
-            push (Execution.flip p false) (fst (Config.step proto cfg p ~coin:(Some false)))
-          | Some _ -> push (Execution.ev p) (fst (Config.step proto cfg p ~coin:None))
-        done;
-        let frontier = Queue.length q in
-        if frontier > counters.peak then counters.peak <- frontier
-      end
-    done;
-    Ok (), None
-  with
-  | Found v -> Error v, None
-  | Budget.Exhausted b ->
-    counters.trunc <- true;
-    Ok (), Some b
-
-(* [bfs_reachable] wrapped in an ["explore.vector"] span; a raising
-   protocol callback must not leak the span (its close runs on this
-   domain's parent stack). *)
-let observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
-  let sp = Obs.enter ~cat:"explore" "explore.vector" in
-  match bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine with
-  | verdict, stopped ->
-    observe_vector sp counters verdict;
-    verdict, stopped
-  | exception e ->
-    Obs.close sp;
-    raise e
-
-(* One input vector's consensus-property search. *)
-let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo ~guard =
-  let counters = fresh_counters () in
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let solo_cache = Ckey.Salted_tbl.create (if check_solo then table_size else 1) in
-  let solo_loc = Trace.fresh_loc "explore.solo_cache" in
-  let examine pk cfg rev_sched =
+let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo ~guard =
+  let pr = prober proto ~solo_budget ~guard ~loc:"explore.solo_cache" in
+  let check cfg rev_sched =
     let schedule () = List.rev rev_sched in
     let decided = Config.decided_values cfg in
     List.iter
@@ -256,16 +142,149 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
     if check_solo then
       for p = 0 to proto.Protocol.num_processes - 1 do
         if Config.has_decided cfg p = None
-           && not
-                (solo_can_decide proto pk cfg p ~budget:solo_budget ~guard
-                   ~cache:solo_cache ~cache_loc:solo_loc ~counters)
+           && not (group_can_decide pr cfg (Pset.singleton p))
         then raise (Found (Solo_stuck { inputs; schedule = schedule (); pid = p }))
       done
   in
-  let verdict, stopped =
-    observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
+  { check; probes = pr }
+
+(* All process subsets of size [t], as Pset masks in increasing mask
+   order.  n <= 62 (Pset's representation bound), and t-resilience checks
+   are meant for small n, so plain mask enumeration is fine. *)
+let subsets_of_size n t =
+  let rec go mask acc =
+    if mask < 0 then acc
+    else
+      go (mask - 1)
+        (let rec popcount m c = if m = 0 then c else popcount (m land (m - 1)) (c + 1) in
+         if popcount mask 0 = t then
+           Pset.filter (fun p -> mask land (1 lsl p) <> 0) (Pset.all n) :: acc
+         else acc)
   in
-  { verdict; stats = stats_of_counters counters; stopped; worker_errors = [] }
+  go ((1 lsl n) - 1) []
+
+(* From every reachable configuration, after crash-stopping any set of
+   exactly [t] processes (smaller crash sets only enlarge the survivor
+   group, and a group that contains a live one is live), the surviving
+   group must still be able to reach a decision on its own within
+   [solo_budget] steps. *)
+let resilience_examiner proto ~t ~inputs ~solo_budget ~guard =
+  let n = proto.Protocol.num_processes in
+  if t < 0 || t >= n then
+    invalid_arg "Explore.check_t_resilient: need 0 <= t <= n-1";
+  let crash_sets = subsets_of_size n t in
+  let pr = prober proto ~solo_budget ~guard ~loc:"explore.group_cache" in
+  let check cfg rev_sched =
+    List.iter
+      (fun f ->
+        let survivors = Pset.diff (Pset.all n) f in
+        if not (group_can_decide pr cfg survivors) then
+          raise
+            (Found
+               (Crash_stuck
+                  {
+                    inputs;
+                    schedule = List.rev rev_sched;
+                    crashed = Pset.to_list f;
+                    survivors = Pset.to_list survivors;
+                  })))
+      crash_sets
+  in
+  { check; probes = pr }
+
+let examine ex cfg ~schedule =
+  let before = ex.probes.probe_misses in
+  let vio =
+    match ex.check cfg (List.rev schedule) with () -> None | exception Found v -> Some v
+  in
+  vio, ex.probes.probe_misses - before
+
+(* Close one finished per-vector search into the profiler: span attributes
+   for the phase table, counter increments for the bench metrics blob.
+   The span is entered by [observed_bfs] around [bfs_reachable]. *)
+let observe_vector sp r =
+  let s = r.stats in
+  Obs.set_int sp "configs" s.configs_explored;
+  Obs.set_int sp "deepest" s.deepest;
+  Obs.set_bool sp "truncated" s.truncated;
+  Obs.set_bool sp "violation" (Result.is_error r.verdict);
+  Obs.close sp;
+  Obs.Metrics.incr "explore.vectors";
+  Obs.Metrics.incr ~by:s.configs_explored "explore.configs_explored";
+  Obs.Metrics.incr ~by:s.table_hits "explore.table_hits";
+  Obs.Metrics.incr ~by:s.table_misses "explore.table_misses";
+  Obs.Metrics.incr ~by:s.solo_cache_hits "explore.solo_cache_hits";
+  Obs.Metrics.incr ~by:s.solo_cache_misses "explore.solo_cache_misses";
+  Obs.Metrics.gauge_max "explore.peak_frontier" s.peak_frontier;
+  Obs.Metrics.gauge_max "explore.deepest" s.deepest
+
+(* One input vector's search, self-contained: its own packer, tables,
+   examiner and counters.  Every dequeued configuration is examined; a
+   configuration at [max_depth] or past the [max_configs]-th is not
+   expanded.  This is the unit of parallelism — runs of different input
+   vectors share nothing, so fanning them out over domains produces
+   bit-identical verdicts and stats. *)
+let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ex =
+  let pk = Ckey.packer proto in
+  (* sized to the budget, not a fixed large block: small searches (few
+     dozen configurations per input vector) shouldn't pay for 4096-bucket
+     tables they never fill *)
+  let fr =
+    Frontier.create ~key:(Ckey.pack pk) ~size:(max 64 (min 4096 (max_configs / 8)))
+      ~loc:"explore.visited" ~max_depth
+  in
+  let all = Pset.all proto.Protocol.num_processes in
+  let cfg0 = Config.initial proto ~inputs in
+  Frontier.add fr cfg0 (cfg0, []);
+  let capped = ref false in
+  let verdict, stopped =
+    match
+      Frontier.run fr
+        ~visit:(fun (cfg, rev_sched) _ ->
+          Budget.charge guard 1;
+          ex.check cfg rev_sched;
+          if Frontier.explored fr >= max_configs then begin
+            capped := true;
+            Frontier.Skip
+          end
+          else Frontier.Expand)
+        ~expand:(fun (cfg, rev_sched) ->
+          Config.iter_successors proto cfg all (fun pid coin cfg' ->
+              if Frontier.offer fr cfg' then
+                Frontier.push fr (cfg', { Execution.pid; coin } :: rev_sched)))
+    with
+    | () -> Ok (), None
+    | exception Found v -> Error v, None
+    | exception Budget.Exhausted b ->
+      capped := true;
+      Ok (), Some b
+  in
+  let stats =
+    {
+      configs_explored = Frontier.explored fr;
+      truncated = !capped || Frontier.depth_capped fr;
+      deepest = Frontier.deepest fr;
+      table_hits = Frontier.hits fr;
+      table_misses = Frontier.misses fr;
+      peak_frontier = Frontier.peak fr;
+      solo_cache_hits = ex.probes.probe_hits;
+      solo_cache_misses = ex.probes.probe_misses;
+    }
+  in
+  { verdict; stats; stopped; worker_errors = [] }
+
+(* [bfs_reachable] wrapped in an ["explore.vector"] span; a raising
+   protocol callback must not leak the span (its close runs on this
+   domain's parent stack). *)
+let observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ex =
+  let sp = Obs.enter ~cat:"explore" "explore.vector" in
+  match bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ex with
+  | r ->
+    observe_vector sp r;
+    r
+  | exception e ->
+    Obs.close sp;
+    raise e
 
 (* Fan one self-contained per-vector search out over the input vectors and
    reassemble.  The fold walks results in input order up to and including
@@ -307,174 +326,20 @@ let check_set_agreement ?(domains = 1) ?(budget = Budget.unlimited) ~k proto
     ~inputs_list ~max_configs ~max_depth ~solo_budget ~check_solo =
   run_vectors ~domains
     (fun inputs ->
-      check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
-        ~guard:budget)
+      observed_bfs proto ~inputs ~max_configs ~max_depth ~guard:budget
+        (consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo ~guard:budget))
     inputs_list
 
 let check_consensus ?domains ?budget proto =
   check_set_agreement ?domains ?budget ~k:1 proto
 
-(* --- crash-fault resilience ------------------------------------------- *)
-
-(* All process subsets of size [t], as Pset masks in increasing mask
-   order.  n <= 62 (Pset's representation bound), and t-resilience checks
-   are meant for small n, so plain mask enumeration is fine. *)
-let subsets_of_size n t =
-  let rec go mask acc =
-    if mask < 0 then acc
-    else
-      go (mask - 1)
-        (let rec popcount m c = if m = 0 then c else popcount (m land (m - 1)) (c + 1) in
-         if popcount mask 0 = t then
-           Pset.filter (fun p -> mask land (1 lsl p) <> 0) (Pset.all n) :: acc
-         else acc)
-  in
-  go ((1 lsl n) - 1) []
-
-(* One input vector's t-resilience search: from every reachable
-   configuration, after crash-stopping any set of exactly [t] processes
-   (smaller crash sets only enlarge the survivor group, and a group that
-   contains a live one is live), the surviving group must still be able to
-   reach a decision on its own within [solo_budget] steps. *)
-let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~guard =
-  let n = proto.Protocol.num_processes in
-  if t < 0 || t >= n then
-    invalid_arg "Explore.check_t_resilient: need 0 <= t <= n-1";
-  let crash_sets = subsets_of_size n t in
-  let counters = fresh_counters () in
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let cache = Ckey.Salted_tbl.create table_size in
-  let cache_loc = Trace.fresh_loc "explore.group_cache" in
-  let examine pk cfg rev_sched =
-    List.iter
-      (fun f ->
-        let survivors = Pset.diff (Pset.all n) f in
-        if not (group_can_decide proto pk cfg survivors ~budget:solo_budget ~guard
-                  ~cache ~cache_loc ~counters)
-        then
-          raise
-            (Found
-               (Crash_stuck
-                  {
-                    inputs;
-                    schedule = List.rev rev_sched;
-                    crashed = Pset.to_list f;
-                    survivors = Pset.to_list survivors;
-                  })))
-      crash_sets
-  in
-  let verdict, stopped =
-    observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
-  in
-  { verdict; stats = stats_of_counters counters; stopped; worker_errors = [] }
-
 let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inputs_list
     ~max_configs ~max_depth ~solo_budget =
   run_vectors ~domains
     (fun inputs ->
-      check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget
-        ~guard:budget)
+      observed_bfs proto ~inputs ~max_configs ~max_depth ~guard:budget
+        (resilience_examiner proto ~t ~inputs ~solo_budget ~guard:budget))
     inputs_list
-
-(* --- cluster-facing hooks ---------------------------------------------- *)
-
-(* Successor enumeration in exactly the order [bfs_reachable] inlines it:
-   pid ascending, a Flip resolved heads before tails.  The distributed
-   engine's parallel==serial certification leans on this order being the
-   one serial insertion order, so it is exported as a named hook rather
-   than re-derived (and possibly re-derived differently) in lib/cluster. *)
-let successors proto cfg =
-  let acc = ref [] in
-  for p = proto.Protocol.num_processes - 1 downto 0 do
-    match Config.poised proto cfg p with
-    | None -> ()
-    | Some Action.Flip ->
-      acc :=
-        (Execution.flip p true, fst (Config.step proto cfg p ~coin:(Some true)))
-        :: (Execution.flip p false, fst (Config.step proto cfg p ~coin:(Some false)))
-        :: !acc
-    | Some _ ->
-      acc := (Execution.ev p, fst (Config.step proto cfg p ~coin:None)) :: !acc
-  done;
-  !acc
-
-(* One externally-materialized configuration put through the same property
-   checks as a [bfs_reachable] examine, with the same probe order and an
-   exact count of the solo/group probes run (every probe is a cache miss:
-   probe keys are (config, mask) pairs and a deduplicated search examines
-   each configuration once).  The cache is still consulted so the code
-   path — including its counter discipline — is the serial one. *)
-type 's examiner = {
-  ex_run : 's Config.t -> Execution.event list -> violation option * int;
-}
-
-let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo =
-  let pk = Ckey.packer proto in
-  let solo_cache = Ckey.Salted_tbl.create 256 in
-  let solo_loc = Trace.fresh_loc "explore.cluster_solo_cache" in
-  let run cfg schedule =
-    let counters = fresh_counters () in
-    let check () =
-      let decided = Config.decided_values cfg in
-      List.iter
-        (fun v ->
-          if not (Array.exists (Value.equal v) inputs) then
-            raise (Found (Validity_violation { inputs; schedule; value = v })))
-        decided;
-      if List.length decided > k then
-        raise (Found (Agreement_violation { inputs; schedule; values = decided }));
-      if check_solo then
-        for p = 0 to proto.Protocol.num_processes - 1 do
-          if Config.has_decided cfg p = None
-             && not
-                  (solo_can_decide proto pk cfg p ~budget:solo_budget
-                     ~guard:Budget.unlimited ~cache:solo_cache ~cache_loc:solo_loc
-                     ~counters)
-          then raise (Found (Solo_stuck { inputs; schedule; pid = p }))
-        done
-    in
-    match check () with
-    | () -> (None, counters.solo_misses)
-    | exception Found v -> (Some v, counters.solo_misses)
-  in
-  { ex_run = run }
-
-let resilience_examiner proto ~t ~inputs ~solo_budget =
-  let n = proto.Protocol.num_processes in
-  if t < 0 || t >= n then
-    invalid_arg "Explore.resilience_examiner: need 0 <= t <= n-1";
-  let pk = Ckey.packer proto in
-  let crash_sets = subsets_of_size n t in
-  let cache = Ckey.Salted_tbl.create 256 in
-  let cache_loc = Trace.fresh_loc "explore.cluster_group_cache" in
-  let run cfg schedule =
-    let counters = fresh_counters () in
-    let check () =
-      List.iter
-        (fun f ->
-          let survivors = Pset.diff (Pset.all n) f in
-          if not
-               (group_can_decide proto pk cfg survivors ~budget:solo_budget
-                  ~guard:Budget.unlimited ~cache ~cache_loc ~counters)
-          then
-            raise
-              (Found
-                 (Crash_stuck
-                    {
-                      inputs;
-                      schedule;
-                      crashed = Pset.to_list f;
-                      survivors = Pset.to_list survivors;
-                    })))
-        crash_sets
-    in
-    match check () with
-    | () -> (None, counters.solo_misses)
-    | exception Found v -> (Some v, counters.solo_misses)
-  in
-  { ex_run = run }
-
-let examine ex cfg ~schedule = ex.ex_run cfg schedule
 
 (* --- counterexample replay -------------------------------------------- *)
 
@@ -496,12 +361,10 @@ let replay ?(solo_budget = 300) proto violation =
         match Pset.to_list (Pset.filter (fun p -> Config.has_decided cfg p <> None) group) with
         | p :: _ -> Error (Printf.sprintf "p%d decided on replay; %s not stuck" p what)
         | [] ->
-          let pk = Ckey.packer proto in
-          let cache = Ckey.Salted_tbl.create 64 in
-          let cache_loc = Trace.fresh_loc "explore.replay_cache" in
-          let counters = fresh_counters () in
-          if group_can_decide proto pk cfg group ~budget:solo_budget
-               ~guard:Budget.unlimited ~cache ~cache_loc ~counters
+          let pr =
+            prober proto ~solo_budget ~guard:Budget.unlimited ~loc:"explore.replay_cache"
+          in
+          if group_can_decide pr cfg group
           then Error (what ^ " can decide on replay")
           else Ok ())
   in

@@ -132,21 +132,21 @@ val check_t_resilient :
   solo_budget:int ->
   result
 
+(** The empty stats record: the unit of {!merge_stats}. *)
+val empty_stats : stats
+
+(** [merge_stats a b] folds two per-vector stats the way a multi-vector
+    check reports them: counts add, high-water marks and depths take the
+    maximum, truncation is sticky. *)
+val merge_stats : stats -> stats -> stats
+
 (** {2 Cluster hooks}
 
     The distributed search engine ({!module:Ts_cluster}) re-runs this
     module's BFS as a level-synchronous fan-out over worker nodes and
-    certifies its answer {e byte-identical} to the serial one.  That
-    argument needs two serial internals exported verbatim rather than
-    re-derived: the successor order (= the serial insertion order) and the
-    examine semantics (= the serial violation and probe-count semantics). *)
-
-(** [successors proto cfg] enumerates the successor configurations of
-    [cfg] in exactly the order the serial BFS inlines them: pid ascending,
-    a coin flip resolved heads before tails.  Each successor is paired
-    with the event that reaches it. *)
-val successors :
-  's Protocol.t -> 's Config.t -> (Execution.event * 's Config.t) list
+    certifies its answer {e byte-identical} to the serial one.  It expands
+    with the serial successor order ({!Ts_model.Config.iter_successors})
+    and examines with the serial search's own examiners, below. *)
 
 type 's examiner
 (** The property checks one dequeued configuration undergoes, packaged
@@ -154,24 +154,27 @@ type 's examiner
 
 (** The consensus-property examine of {!check_consensus} /
     {!check_set_agreement}: validity, then [k]-agreement, then (when
-    [check_solo]) per-pid solo termination in pid order. *)
+    [check_solo]) per-pid solo termination in pid order.  Every probe node
+    is charged to [guard]. *)
 val consensus_examiner :
   's Protocol.t ->
   k:int ->
   inputs:Value.t array ->
   solo_budget:int ->
   check_solo:bool ->
+  guard:Budget.t ->
   's examiner
 
 (** The crash-resilience examine of {!check_t_resilient}: every crash set
     of size [t] in increasing mask order, survivor-group decidability
-    probed within [solo_budget].
+    probed within [solo_budget].  Every probe node is charged to [guard].
     @raise Invalid_argument unless [0 <= t <= n-1]. *)
 val resilience_examiner :
   's Protocol.t ->
   t:int ->
   inputs:Value.t array ->
   solo_budget:int ->
+  guard:Budget.t ->
   's examiner
 
 (** [examine ex cfg ~schedule] checks one configuration and returns the

@@ -632,32 +632,6 @@ let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
 
 (* --- per-op drivers ------------------------------------------------------- *)
 
-(* identical to the serial checker's private stats fold, re-stated here
-   because the cluster reassembles per-vector stats itself *)
-let empty_stats =
-  {
-    Explore.configs_explored = 0;
-    truncated = false;
-    deepest = 0;
-    table_hits = 0;
-    table_misses = 0;
-    peak_frontier = 0;
-    solo_cache_hits = 0;
-    solo_cache_misses = 0;
-  }
-
-let merge_stats (a : Explore.stats) (b : Explore.stats) =
-  {
-    Explore.configs_explored = a.configs_explored + b.configs_explored;
-    truncated = a.truncated || b.truncated;
-    deepest = max a.deepest b.deepest;
-    table_hits = a.table_hits + b.table_hits;
-    table_misses = a.table_misses + b.table_misses;
-    peak_frontier = max a.peak_frontier b.peak_frontier;
-    solo_cache_hits = a.solo_cache_hits + b.solo_cache_hits;
-    solo_cache_misses = a.solo_cache_misses + b.solo_cache_misses;
-  }
-
 let explore_driver st =
   let p = st.params in
   let mode_fields =
@@ -700,7 +674,7 @@ let explore_driver st =
           solo_cache_misses = res.probes;
         }
       in
-      let acc = merge_stats acc stats in
+      let acc = Explore.merge_stats acc stats in
       match res.found with
       | None -> go (i + 1) acc rest
       | Some (sched_s, payload) ->
@@ -720,7 +694,7 @@ let explore_driver st =
         { Explore.verdict = Error vio; stats = acc; stopped = None;
           worker_errors = [] })
   in
-  let result = go 0 empty_stats (Explore.binary_inputs p.n) in
+  let result = go 0 Explore.empty_stats (Explore.binary_inputs p.n) in
   let replay =
     match (p.op, result.Explore.verdict) with
     | Resilient, Error v ->

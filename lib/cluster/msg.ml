@@ -44,7 +44,7 @@ let sched_of_string s =
     go [] (String.split_on_char ',' s)
 
 (* Serial event rank: pid major; within a pid, heads (and the coinless
-   single step) before tails — the order [Explore.successors] emits. *)
+   single step) before tails — the order [Config.iter_successors] emits. *)
 let event_rank { Execution.pid; coin } =
   (pid * 2) + match coin with Some false -> 1 | _ -> 0
 

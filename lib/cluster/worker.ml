@@ -1,7 +1,6 @@
 open Ts_model
 module Json = Ts_analysis.Json
 module Explore = Ts_checker.Explore
-module Valency = Ts_core.Valency
 module Obs = Ts_obs.Obs
 
 (* What the per-configuration work of a search is: the property examine
@@ -92,11 +91,16 @@ let handle_init t doc =
       let check_solo =
         or_bad "bad-request" (Msg.get_bool_opt doc "check_solo" ~default:true)
       in
-      Exam (Explore.consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo)
+      Exam
+        (Explore.consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo
+           ~guard:Ts_core.Budget.unlimited)
     | "resilient" ->
       let tf = or_bad "bad-request" (Msg.get_int doc "t") in
       let solo_budget = or_bad "bad-request" (Msg.get_int doc "solo_budget") in
-      (match Explore.resilience_examiner proto ~t:tf ~inputs ~solo_budget with
+      (match
+         Explore.resilience_examiner proto ~t:tf ~inputs ~solo_budget
+           ~guard:Ts_core.Budget.unlimited
+       with
        | ex -> Exam ex
        | exception Invalid_argument msg -> bad "invalid-argument" msg)
     | "valency" ->
@@ -179,7 +183,7 @@ let handle_ingest (Search s) doc =
             in
             exams := Json.Obj entry :: !exams
           | Reach (v, _) ->
-            if Valency.decides cfg v then
+            if Config.decides cfg v then
               exams := Json.Obj [ ("i", Json.Int idx); ("d", Json.Bool true) ] :: !exams
         end
       end)
@@ -191,14 +195,21 @@ let handle_ingest (Search s) doc =
     [ ("flags", Json.Str (Buffer.contents flags));
       ("exams", Json.List (List.rev !exams)) ]
 
+(* Successors in the serial engine's order, so the coordinator can
+   rebuild the serial frontier. *)
 let successor_cands s cfg events =
-  let pack (e, cfg') =
-    { Msg.shard = Shard.owner ~shards:s.shards (Ckey.pack s.pk cfg');
-      sched = Msg.sched_to_string (events @ [ e ]) }
+  let ps =
+    match s.skind with
+    | Exam _ -> Pset.all s.proto.Protocol.num_processes
+    | Reach (_, ps) -> ps
   in
-  match s.skind with
-  | Exam _ -> List.map pack (Explore.successors s.proto cfg)
-  | Reach (_, ps) -> List.map pack (Valency.successors_within s.proto cfg ps)
+  let acc = ref [] in
+  Config.iter_successors s.proto cfg ps (fun pid coin cfg' ->
+      acc :=
+        { Msg.shard = Shard.owner ~shards:s.shards (Ckey.pack s.pk cfg');
+          sched = Msg.sched_to_string (events @ [ { Execution.pid; coin } ]) }
+        :: !acc);
+  List.rev !acc
 
 let handle_expand (Search s) doc =
   let items = or_bad "bad-request" (Msg.get_list doc "items") in

@@ -16,7 +16,7 @@ let negate v = Value.int (1 - Value.to_int v)
 
 let lemma1 t c p =
   if Pset.cardinal p < 3 then invalid_arg "Lemmas.lemma1: |P| must be >= 3";
-  Engine_log.Log.debug (fun m -> m "lemma1: P=%a" Pset.pp p);
+  if Obs.tracing () then Obs.instant ~cat:"log.debug" (Fmt.str "lemma1: P=%a" Pset.pp p);
   Obs.with_span ~cat:"lemma" "lemma1" @@ fun sp ->
   Obs.set_int sp "participants" (Pset.cardinal p);
   (* A candidate z works at configuration [cfg] if P - {z} is bivalent. *)
@@ -107,7 +107,8 @@ type lemma3_result = {
 }
 
 let lemma3 t c ~p ~r =
-  Engine_log.Log.debug (fun m -> m "lemma3: P=%a R=%a" Pset.pp p Pset.pp r);
+  if Obs.tracing () then
+    Obs.instant ~cat:"log.debug" (Fmt.str "lemma3: P=%a R=%a" Pset.pp p Pset.pp r);
   let proto = Valency.protocol t in
   if Pset.is_empty r then invalid_arg "Lemmas.lemma3: R must be non-empty";
   Obs.with_span ~cat:"lemma" "lemma3" @@ fun sp ->

@@ -66,8 +66,8 @@ type outcome =
   | Partial of stop * progress
 
 (** [theorem1_outcome t] is {!theorem1} with structured degradation: a
-    tripped {!Budget} or an exhausted horizon yields [Partial] (logged via
-    [Engine_log]) instead of an exception.  [Invalid_argument] (caller
+    tripped {!Budget} or an exhausted horizon yields [Partial] (logged as
+    a ["log.info"] trace instant) instead of an exception.  [Invalid_argument] (caller
     errors) still raises. *)
 val theorem1_outcome : 's Valency.t -> outcome
 

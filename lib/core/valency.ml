@@ -28,10 +28,9 @@ module Memo = Hashtbl.Make (Memo_key)
 type 's t = {
   proto : 's Protocol.t;
   horizon : int;
-  parallel : bool;
   budget : Budget.t;
   memo : Execution.event list option Memo.t;
-  pk : 's Ckey.packer;  (* coordinator-domain packer for memo keys *)
+  pk : 's Ckey.packer;  (* packer for memo keys *)
   mutable searches : int;
   mutable nodes_expanded : int;
   mutable memo_hits : int;
@@ -39,11 +38,10 @@ type 's t = {
   mutable peak_frontier : int;
 }
 
-let create ?(parallel = false) ?(budget = Budget.unlimited) proto ~horizon =
+let create ?(budget = Budget.unlimited) proto ~horizon =
   {
     proto;
     horizon;
-    parallel;
     budget;
     memo = Memo.create 4096;
     pk = Ckey.packer proto;
@@ -71,106 +69,69 @@ let stats t =
 let zero = Value.int 0
 let one = Value.int 1
 
-let decided_here cfg v = List.exists (Value.equal v) (Config.decided_values cfg)
-
 (* Breadth-first search for a P-only execution from [cfg] deciding [v].
    BFS visits every configuration at its shortest P-only distance, so
    together with the visited table the search is *complete* for executions
    of length <= horizon, and the returned witness is one of minimal
-   length.  Negative answers still only mean "not within horizon".
-
-   Self-contained and effect-free on [t]'s mutable fields — it builds its
-   own packer and visited table, keyed by packed configurations — so two
-   searches may run on separate domains; counters come back as data and
-   are folded into [t] by the (single-domain) coordinator. *)
+   length.  Negative answers still only mean "not within horizon".  The
+   search's work is folded into [t]'s counters even when the budget trips
+   it; an aborted search then re-raises and is never memoized. *)
 let search t cfg ps v =
   (* explicit enter/close (not with_span): this is the engine's hottest
      entry point and the closure must not allocate while disarmed *)
   let sp = Obs.enter ~cat:"valency" "valency.search" in
   let pk = Ckey.packer t.proto in
-  let visited = Ckey.Tbl.create 1024 in
-  let q = Queue.create () in
-  Queue.add (cfg, [], 0) q;
-  Ckey.Tbl.replace visited (Ckey.pack pk cfg) ();
+  let fr =
+    Frontier.create ~key:(Ckey.pack pk) ~size:1024 ~loc:"valency.visited"
+      ~max_depth:t.horizon
+  in
+  Frontier.add fr cfg (cfg, []);
   let result = ref None in
-  let nodes = ref 0 in
-  let peak = ref 1 in
-  (* a tripped budget is captured, not raised: the caller's [record] must
-     account this search's work first (and, under [parallel], the raise
-     must happen on the coordinator's domain, after the join) *)
-  let stop = ref None in
-  (try
-     while not (Queue.is_empty q) do
-       let cfg, rev_sched, depth = Queue.pop q in
-       incr nodes;
-       Budget.charge t.budget 1;
-       if decided_here cfg v then begin
-         result := Some (List.rev rev_sched);
-         raise Exit
-       end;
-       if depth < t.horizon then begin
-         Pset.iter
-           (fun p ->
-             let push coin =
-               let cfg', _ = Config.step t.proto cfg p ~coin in
-               let key = Ckey.pack pk cfg' in
-               if not (Ckey.Tbl.mem visited key) then begin
-                 Ckey.Tbl.replace visited key ();
-                 Queue.add (cfg', { Execution.pid = p; coin } :: rev_sched, depth + 1) q
-               end
-             in
-             match Config.poised t.proto cfg p with
-             | None -> ()
-             | Some Action.Flip ->
-               push (Some true);
-               push (Some false)
-             | Some _ -> push None)
-           ps;
-         let frontier = Queue.length q in
-         if frontier > !peak then peak := frontier
-       end
-     done
-   with
-   | Exit -> ()
-   | Budget.Exhausted _ as e -> stop := Some e);
+  let stop =
+    match
+      Frontier.run fr
+        ~visit:(fun (cfg, rev_sched) _ ->
+          Budget.charge t.budget 1;
+          if Config.decides cfg v then begin
+            result := Some (List.rev rev_sched);
+            Frontier.Stop
+          end
+          else Frontier.Expand)
+        ~expand:(fun (cfg, rev_sched) ->
+          Config.iter_successors t.proto cfg ps (fun pid coin cfg' ->
+              if Frontier.offer fr cfg' then
+                Frontier.push fr (cfg', { Execution.pid; coin } :: rev_sched)))
+    with
+    | () -> None
+    | exception (Budget.Exhausted _ as e) -> Some e
+  in
+  let nodes = Frontier.explored fr and peak = Frontier.peak fr in
   Obs.set_int sp "target" (Value.to_int v);
-  Obs.set_int sp "nodes" !nodes;
-  Obs.set_int sp "peak_frontier" !peak;
+  Obs.set_int sp "nodes" nodes;
+  Obs.set_int sp "peak_frontier" peak;
   Obs.set_bool sp "decided" (!result <> None);
   Obs.close sp;
-  !result, !nodes, !peak, !stop
-
-let record t (result, nodes, peak, stop) =
   t.searches <- t.searches + 1;
   t.nodes_expanded <- t.nodes_expanded + nodes;
   if peak > t.peak_frontier then t.peak_frontier <- peak;
   Obs.Metrics.incr "valency.searches";
   Obs.Metrics.incr ~by:nodes "valency.nodes_expanded";
   Obs.Metrics.gauge_max "valency.peak_frontier" peak;
-  (* an aborted search has no trustworthy answer: re-raise (after the
-     accounting above) and never memoize it *)
-  match stop with Some e -> raise e | None -> result
-
-let memo_hit t n =
-  t.memo_hits <- t.memo_hits + n;
-  Obs.Metrics.incr ~by:n "valency.memo_hits"
-
-let memo_miss t n =
-  t.memo_misses <- t.memo_misses + n;
-  Obs.Metrics.incr ~by:n "valency.memo_misses"
-
-let memo_key t cfg ps v =
-  { Memo_key.ck = Ckey.pack t.pk cfg; mask = Pset.to_mask ps; v = Value.to_int v }
+  match stop with Some e -> raise e | None -> !result
 
 let can_decide t cfg ps v =
-  let key = memo_key t cfg ps v in
+  let key =
+    { Memo_key.ck = Ckey.pack t.pk cfg; mask = Pset.to_mask ps; v = Value.to_int v }
+  in
   match Memo.find_opt t.memo key with
   | Some r ->
-    memo_hit t 1;
+    t.memo_hits <- t.memo_hits + 1;
+    Obs.Metrics.incr "valency.memo_hits";
     r
   | None ->
-    memo_miss t 1;
-    let r = record t (search t cfg ps v) in
+    t.memo_misses <- t.memo_misses + 1;
+    Obs.Metrics.incr "valency.memo_misses";
+    let r = search t cfg ps v in
     Memo.replace t.memo key r;
     r
 
@@ -185,39 +146,7 @@ let verdict_of = function
   | None, Some w1 -> Univalent (one, w1)
   | None, None -> Blocked
 
-(* The two probes of [classify] are independent searches; with [parallel]
-   oracles the misses run concurrently on separate domains (the memo is
-   only ever touched from the coordinator's domain). *)
-let classify t cfg ps =
-  if not t.parallel then verdict_of (can_decide t cfg ps zero, can_decide t cfg ps one)
-  else begin
-    let k0 = memo_key t cfg ps zero and k1 = memo_key t cfg ps one in
-    match Memo.find_opt t.memo k0, Memo.find_opt t.memo k1 with
-    | Some r0, Some r1 ->
-      memo_hit t 2;
-      verdict_of (r0, r1)
-    | None, None ->
-      memo_miss t 2;
-      let s0, s1 =
-        Par.both (fun () -> search t cfg ps zero) (fun () -> search t cfg ps one)
-      in
-      let r0 = record t s0 and r1 = record t s1 in
-      Memo.replace t.memo k0 r0;
-      Memo.replace t.memo k1 r1;
-      verdict_of (r0, r1)
-    | Some r0, None ->
-      memo_hit t 1;
-      memo_miss t 1;
-      let r1 = record t (search t cfg ps one) in
-      Memo.replace t.memo k1 r1;
-      verdict_of (r0, r1)
-    | None, Some r1 ->
-      memo_hit t 1;
-      memo_miss t 1;
-      let r0 = record t (search t cfg ps zero) in
-      Memo.replace t.memo k0 r0;
-      verdict_of (r0, r1)
-  end
+let classify t cfg ps = verdict_of (can_decide t cfg ps zero, can_decide t cfg ps one)
 
 let is_bivalent t cfg ps =
   match classify t cfg ps with
@@ -228,27 +157,6 @@ let univalent_value t cfg ps =
   match classify t cfg ps with
   | Univalent (v, _) -> Some v
   | Bivalent _ | Blocked -> None
-
-(* --- cluster hooks ------------------------------------------------------ *)
-
-let decides cfg v = decided_here cfg v
-
-let successors_within proto cfg ps =
-  let acc = ref [] in
-  Pset.iter
-    (fun p ->
-      let push coin =
-        let cfg', _ = Config.step proto cfg p ~coin in
-        acc := ({ Execution.pid = p; coin }, cfg') :: !acc
-      in
-      match Config.poised proto cfg p with
-      | None -> ()
-      | Some Action.Flip ->
-        push (Some true);
-        push (Some false)
-      | Some _ -> push None)
-    ps;
-  List.rev !acc
 
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf "%d searches over %d nodes, memo %d/%d hit/miss, frontier peak %d"

@@ -30,16 +30,13 @@ exception Horizon_exceeded of string
 (** Raised by engine components when a bounded-search answer could not be
     verified; retry with a larger horizon. *)
 
-(** [create ?parallel ?budget proto ~horizon] builds an oracle.  With
-    [parallel:true], {!classify}'s two independent probes run concurrently
-    on separate OCaml domains when both miss the memo table; answers are
-    identical to the serial oracle's.  All visited/memo tables key by
-    packed configurations ({!Ts_model.Ckey}).  Every search charges
-    [budget] (default {!Budget.unlimited}) one node per expanded
+(** [create ?budget proto ~horizon] builds an oracle.  All visited/memo
+    tables key by packed configurations ({!Ts_model.Ckey}).  Every search
+    charges [budget] (default {!Budget.unlimited}) one node per expanded
     configuration and raises {!Budget.Exhausted} when it trips; the
     outcome-returning wrappers in {!Theorem} catch that and report a
     partial result. *)
-val create : ?parallel:bool -> ?budget:Budget.t -> 's Protocol.t -> horizon:int -> 's t
+val create : ?budget:Budget.t -> 's Protocol.t -> horizon:int -> 's t
 
 val protocol : 's t -> 's Protocol.t
 val horizon : 's t -> int
@@ -81,22 +78,6 @@ type stats = {
 
 val stats : 's t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-(** {2 Cluster hooks}
-
-    Exported internals of {!search}'s BFS step, so the distributed
-    valency engine reproduces the serial frontier (and hence the serial
-    witness and node counts) exactly rather than re-deriving the order. *)
-
-(** [decides cfg v] is the dequeue test of {!search}: some process has
-    decided [v] in [cfg]. *)
-val decides : 's Config.t -> Value.t -> bool
-
-(** [successors_within proto cfg ps] enumerates the P-only successor
-    configurations in exactly {!search}'s expansion order: members of
-    [ps] ascending, a coin flip resolved heads before tails. *)
-val successors_within :
-  's Protocol.t -> 's Config.t -> Pset.t -> (Execution.event * 's Config.t) list
 
 (** The two binary decision values, [Value.int 0] and [Value.int 1]. *)
 val zero : Value.t

@@ -14,18 +14,8 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
   let proto = Valency.protocol t in
   let cfg0 = Config.initial proto ~inputs in
   let pk = Ckey.packer proto in
+  (* node ids, for the edges into already-seen configurations *)
   let ids = Ckey.Tbl.create 256 in
-  let next_id = ref 0 in
-  let id_of cfg =
-    let key = Ckey.pack pk cfg in
-    match Ckey.Tbl.find_opt ids key with
-    | Some i -> i, false
-    | None ->
-      let i = !next_id in
-      incr next_id;
-      Ckey.Tbl.replace ids key i;
-      i, true
-  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph valency {\n  rankdir=TB;\n  node [fontsize=10];\n";
   let nodes = ref 0 and edges = ref 0 in
@@ -54,34 +44,35 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
       (Printf.sprintf "  c%d [shape=%s,style=filled,fillcolor=%s,label=\"%s%s\"];\n" i
          shape color label decided)
   in
-  let q = Queue.create () in
-  let i0, _ = id_of cfg0 in
-  emit_node i0 cfg0;
-  Queue.add (cfg0, i0, 0) q;
+  let fr =
+    Frontier.create ~key:(Ckey.pack pk) ~size:256 ~loc:"valgraph.visited" ~max_depth:depth
+  in
+  (* number, draw and enqueue a configuration seen for the first time *)
+  let fresh_node cfg =
+    let i = !nodes in
+    Ckey.Tbl.replace ids (Ckey.pack pk cfg) i;
+    emit_node i cfg;
+    Frontier.push fr (cfg, i);
+    i
+  in
+  if Frontier.offer fr cfg0 then ignore (fresh_node cfg0 : int);
+  let all = Pset.all proto.Protocol.num_processes in
   (try
-     while not (Queue.is_empty q) do
-       let cfg, i, d = Queue.pop q in
-       if d < depth then
-         for p = 0 to proto.Protocol.num_processes - 1 do
-           let push coin label =
-             let cfg', _ = Config.step proto cfg p ~coin in
-             let j, fresh = id_of cfg' in
-             if fresh then begin
-               if !nodes >= max_nodes then raise Exit;
-               emit_node j cfg';
-               Queue.add (cfg', j, d + 1) q
-             end;
+     Frontier.run fr
+       ~visit:(fun _ _ -> Frontier.Expand)
+       ~expand:(fun (cfg, i) ->
+         Config.iter_successors proto cfg all (fun p coin cfg' ->
+             let j =
+               if Frontier.offer fr cfg' then begin
+                 if !nodes >= max_nodes then raise Exit;
+                 fresh_node cfg'
+               end
+               else Ckey.Tbl.find ids (Ckey.pack pk cfg')
+             in
              incr edges;
-             Buffer.add_string buf (Printf.sprintf "  c%d -> c%d [label=\"%s\"];\n" i j label)
-           in
-           match Config.poised proto cfg p with
-           | None -> ()
-           | Some Action.Flip ->
-             push (Some true) (Printf.sprintf "p%d+" p);
-             push (Some false) (Printf.sprintf "p%d-" p)
-           | Some _ -> push None (Printf.sprintf "p%d" p)
-         done
-     done
+             Buffer.add_string buf
+               (Printf.sprintf "  c%d -> c%d [label=\"p%d%s\"];\n" i j p
+                  (match coin with None -> "" | Some true -> "+" | Some false -> "-"))))
    with Exit -> ());
   Buffer.add_string buf "}\n";
   Ts_obs.Obs.set_int sp "nodes" !nodes;

@@ -29,32 +29,63 @@ let with_proc cfg p status =
   procs.(p) <- status;
   { cfg with procs }
 
+(* The configuration after running process [p], in local state [s], through
+   its poised action [act] resolved by [coin]. *)
+let advance (proto : 's Protocol.t) cfg p s act coin =
+  match act, coin with
+  | Action.Read r, None -> with_proc cfg p (Running (proto.on_read s cfg.regs.(r)))
+  | Action.Write (r, v), None ->
+    let regs = Array.copy cfg.regs in
+    regs.(r) <- v;
+    { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_write s); a);
+      regs }
+  | Action.Swap (r, v), None ->
+    let old = cfg.regs.(r) in
+    let regs = Array.copy cfg.regs in
+    regs.(r) <- v;
+    { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_swap s old); a);
+      regs }
+  | Action.Flip, Some b -> with_proc cfg p (Running (proto.on_flip s b))
+  | Action.Decide v, None -> with_proc cfg p (Decided v)
+  | Action.Flip, None -> invalid_arg "Config.step: flip needs a coin"
+  | (Action.Read _ | Action.Write _ | Action.Swap _ | Action.Decide _), Some _ ->
+    invalid_arg "Config.step: coin supplied to a non-flip step"
+
 let step (proto : 's Protocol.t) cfg p ~coin =
   match cfg.procs.(p) with
   | Decided _ -> invalid_arg "Config.step: process has decided"
   | Running s ->
     let act = proto.poised s in
-    let cfg' =
-      match act, coin with
-      | Action.Read r, None -> with_proc cfg p (Running (proto.on_read s cfg.regs.(r)))
-      | Action.Write (r, v), None ->
-        let regs = Array.copy cfg.regs in
-        regs.(r) <- v;
-        { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_write s); a);
-          regs }
-      | Action.Swap (r, v), None ->
-        let old = cfg.regs.(r) in
-        let regs = Array.copy cfg.regs in
-        regs.(r) <- v;
-        { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_swap s old); a);
-          regs }
-      | Action.Flip, Some b -> with_proc cfg p (Running (proto.on_flip s b))
-      | Action.Decide v, None -> with_proc cfg p (Decided v)
-      | Action.Flip, None -> invalid_arg "Config.step: flip needs a coin"
-      | (Action.Read _ | Action.Write _ | Action.Swap _ | Action.Decide _), Some _ ->
-        invalid_arg "Config.step: coin supplied to a non-flip step"
-    in
-    cfg', act
+    advance proto cfg p s act coin, act
+
+let heads = Some true
+let tails = Some false
+
+(* One pass over the mask, no intermediate list: the search engine's
+   innermost loop. *)
+let iter_successors (proto : 's Protocol.t) cfg ps f =
+  let rec go p mask =
+    if mask <> 0 then begin
+      (if mask land 1 <> 0 then
+         match cfg.procs.(p) with
+         | Decided _ -> ()
+         | Running s -> (
+           match proto.poised s with
+           | Action.Flip ->
+             f p heads (advance proto cfg p s Action.Flip heads);
+             f p tails (advance proto cfg p s Action.Flip tails)
+           | act -> f p None (advance proto cfg p s act None)));
+      go (p + 1) (mask lsr 1)
+    end
+  in
+  go 0 (Pset.to_mask ps)
+
+let rec decided_from procs v i =
+  i < Array.length procs
+  && ((match procs.(i) with Decided w -> Value.equal v w | Running _ -> false)
+      || decided_from procs v (i + 1))
+
+let decides cfg v = decided_from cfg.procs v 0
 
 let has_decided cfg p =
   match cfg.procs.(p) with Decided v -> Some v | Running _ -> None

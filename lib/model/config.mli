@@ -34,6 +34,20 @@ val poised : 's Protocol.t -> 's t -> pid -> Action.t option
     @raise Invalid_argument if [p] has already decided, or on coin misuse. *)
 val step : 's Protocol.t -> 's t -> pid -> coin:bool option -> 's t * Action.t
 
+(** [iter_successors proto cfg ps f] calls [f p coin cfg'] once for every
+    single-step successor [cfg'] of [cfg] in which a member of [ps] moves:
+    members ascending, a coin flip resolved heads ([Some true]) before
+    tails ([Some false]), [coin = None] for every other step.  Decided
+    members have no successor.  This is the one successor order of every
+    search in the engine — serial, domain-parallel and clustered — so their
+    dequeue orders, witnesses and counters agree exactly. *)
+val iter_successors :
+  's Protocol.t -> 's t -> Pset.t -> (pid -> bool option -> 's t -> unit) -> unit
+
+(** [decides cfg v] holds iff some process has decided [v] in [cfg] — the
+    target test of a valency search. *)
+val decides : 's t -> Value.t -> bool
+
 (** [has_decided cfg p] is the decision of [p] in [cfg], if any. *)
 val has_decided : 's t -> pid -> Value.t option
 

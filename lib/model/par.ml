@@ -102,27 +102,6 @@ let map_list_outcomes ~domains f xs =
   |> Array.to_list
   |> List.map (function Done v -> Ok v | Raised (e, _) -> Error e)
 
-(* Run two independent thunks, one on a fresh domain.  Always joins before
-   re-raising so no domain is leaked. *)
-let both f g =
-  let token = Trace.fork () in
-  let d =
-    Domain.spawn (fun () ->
-        Trace.begin_task token;
-        let sp = Ts_obs.Obs.enter ~cat:"par" "par.both" in
-        let r = catch g () in
-        Ts_obs.Obs.close sp;
-        Trace.end_task token;
-        r)
-  in
-  let a = catch f () in
-  let b = Domain.join d in
-  Trace.join token;
-  match a, b with
-  | Done a, Done b -> a, b
-  | Raised (e, bt), _ -> Printexc.raise_with_backtrace e bt
-  | _, Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-
 module Internal = struct
   let strip_slot = strip_slot
 end

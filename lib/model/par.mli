@@ -23,11 +23,6 @@ val map_list : domains:int -> ('a -> 'b) -> 'a list -> 'b list
     wholesale. *)
 val map_list_outcomes : domains:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
-(** [both f g] runs the two thunks concurrently (one on a fresh domain) and
-    returns both results; always joins before re-raising (preferring [f]'s
-    exception when both raise). *)
-val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-
 (** Testing-only access to internal invariant guards. *)
 module Internal : sig
   (** [strip_slot i slot] unwraps the reassembled outcome of item [i].

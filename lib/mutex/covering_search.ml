@@ -72,44 +72,36 @@ let search alg ~max_configs =
   let sp = Ts_obs.Obs.enter ~cat:"covering" "covering_search" in
   Ts_obs.Obs.set_str sp "algorithm" alg.Algorithm.name;
   let n = alg.Algorithm.num_processes in
-  let visited = Ckey.Tbl.create 4096 in
-  let q = Queue.create () in
+  let fr = Frontier.create ~key ~size:4096 ~loc:"covering.visited" ~max_depth:max_int in
   let cfg0 = initial alg in
-  Ckey.Tbl.replace visited (key cfg0) ();
-  Queue.add cfg0 q;
+  Frontier.add fr cfg0 cfg0;
   let best = ref 0 in
-  let explored = ref 0 in
   let truncated = ref false in
   let violated = ref false in
-  while not (Queue.is_empty q) do
-    let cfg = Queue.pop q in
-    incr explored;
-    best := max !best (covered_registers alg cfg);
-    if !explored >= max_configs then begin
-      truncated := true;
-      Queue.clear q
-    end
-    else
+  Frontier.run fr
+    ~visit:(fun cfg _ ->
+      best := max !best (covered_registers alg cfg);
+      if Frontier.explored fr >= max_configs then begin
+        truncated := true;
+        Frontier.Stop
+      end
+      else Frontier.Expand)
+    ~expand:(fun cfg ->
       for p = 0 to n - 1 do
         match step alg cfg p with
         | `Idle -> ()
         | `Violation -> violated := true
-        | `Ok cfg' ->
-          let k = key cfg' in
-          if not (Ckey.Tbl.mem visited k) then begin
-            Ckey.Tbl.replace visited k ();
-            Queue.add cfg' q
-          end
-      done
-  done;
-  Ts_obs.Obs.set_int sp "configs" !explored;
+        | `Ok cfg' -> Frontier.add fr cfg' cfg'
+      done);
+  let explored = Frontier.explored fr in
+  Ts_obs.Obs.set_int sp "configs" explored;
   Ts_obs.Obs.set_int sp "best_covered" !best;
   Ts_obs.Obs.close sp;
   {
     algorithm = alg.Algorithm.name;
     n;
     best_covered = !best;
-    configs_explored = !explored;
+    configs_explored = explored;
     truncated = !truncated;
     exclusion_violated = !violated;
   }

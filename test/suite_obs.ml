@@ -1,6 +1,6 @@
 (* The observability subsystem: span nesting and ordering, the
    allocation-free disabled path, exporter well-formedness, the
-   Engine_log/Trace unification, and — the load-bearing guarantee — a
+   log-instant/Trace unification, and — the load-bearing guarantee — a
    differential proof that arming the profiler changes nothing about what
    the engine computes. *)
 
@@ -318,45 +318,31 @@ let metrics_registry () =
   Alcotest.(check bool) "versioned" true
     (count_substring j1 (Printf.sprintf "\"version\":%d" Export.metrics_version) = 1)
 
-(* --- Engine_log / Trace unification ------------------------------------ *)
+(* --- engine log lines on the span timeline ------------------------------ *)
 
+(* The engine's log lines are Obs instants of category "log.<level>": they
+   appear on the span timeline while tracing is armed, and cost nothing
+   (not even their formatting) while it is not. *)
 let engine_log_unified () =
-  let saw : string list ref = ref [] in
-  let reporter =
-    { Logs.report =
-        (fun _src _level ~over k msgf ->
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              let buf = Buffer.create 64 in
-              let ppf = Format.formatter_of_buffer buf in
-              Format.kfprintf
-                (fun ppf ->
-                  Format.pp_print_flush ppf ();
-                  saw := Buffer.contents buf :: !saw;
-                  over ();
-                  k ())
-                ppf fmt)) }
+  let proto = Ts_protocols.Racing.make ~n:3 in
+  let run () = ignore (Theorem.theorem1 (Valency.create proto ~horizon:60)) in
+  let logged cat prefix evs =
+    List.exists
+      (function
+        | Obs.Instant { name; cat = c; _ } -> c = cat && String.starts_with ~prefix name
+        | _ -> false)
+      evs
   in
-  let old_level = Logs.Src.level Engine_log.src in
-  Logs.set_reporter reporter;
-  Logs.Src.set_level Engine_log.src (Some Logs.Debug);
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter Logs.nop_reporter;
-      Logs.Src.set_level Engine_log.src old_level)
-  @@ fun () ->
-  Engine_log.Log.info (fun m -> m "hello %d" 42);
-  Alcotest.(check (list string)) "reporter sees the message untraced" [ "hello 42" ] !saw;
   Obs.start_tracing ();
-  Engine_log.Log.debug (fun m -> m "probe %s" "x");
+  run ();
   let evs = Obs.stop_tracing () in
-  Alcotest.(check bool) "reporter still sees every message when traced" true
-    (List.mem "probe x" !saw);
-  Alcotest.(check bool) "and the message lands on the span timeline" true
-    (List.exists
-       (function
-         | Obs.Instant { name = "probe x"; cat = "log.debug"; _ } -> true
-         | _ -> false)
-       evs)
+  Alcotest.(check bool) "info line lands on the span timeline" true
+    (logged "log.info" "theorem1: " evs);
+  Alcotest.(check bool) "debug lines too" true (logged "log.debug" "lemma4: P=" evs);
+  run ();
+  Obs.start_tracing ();
+  Alcotest.(check bool) "nothing buffered while disarmed" false
+    (logged "log.info" "theorem1: " (Obs.stop_tracing ()))
 
 let trace_interests_independent () =
   (* arming the race-detector interest must not disturb buffered spans,
