@@ -106,6 +106,11 @@ grep -q '"provenance": "cached"' /tmp/q-warm.json
 timeout 60 "$TS" query ping --port "$PORT" --raw 'garbage#frame' > /tmp/q-raw.json
 grep -q '"bad-frame"' /tmp/q-raw.json
 kill -0 "$SERVE_PID" || { echo "ci: daemon died on malformed frame" >&2; exit 1; }
+# a bivalent valency answer, diffed against the cluster's in the cluster
+# smoke below
+timeout 60 "$TS" query valency --port "$PORT" --protocol racing -n 2 \
+  --horizon 20 > /tmp/q-valency.json
+grep -q '"class": "bivalent"' /tmp/q-valency.json
 timeout 60 "$TS" query stats --port "$PORT" > /tmp/q-stats.json
 grep -q '"hits": 1' /tmp/q-stats.json
 # graceful drain: SIGTERM, bounded wait, daemon must exit 0 with a summary
@@ -392,13 +397,19 @@ if [ "$CRC" -ne 1 ] || [ "$SRC" -ne 1 ]; then
   exit 1
 fi
 cmp /tmp/ci-cluster-broken.json /tmp/ci-serial-broken.json
+# valency run: the same document the daemon answered in the serve smoke
+timeout 300 "$TS" cluster coordinate valency --protocol racing -n 2 --horizon 20 \
+  --worker 127.0.0.1:"$P1" --worker 127.0.0.1:"$P2" \
+  --json > /tmp/ci-cluster-valency.json
 if command -v python3 > /dev/null 2>&1; then
   # structural double-check on top of the literal byte diff
-  python3 - /tmp/ci-cluster-clean.json /tmp/ci-serial-clean.json <<'EOF'
+  python3 - /tmp/ci-cluster-clean.json /tmp/ci-serial-clean.json \
+    /tmp/ci-cluster-valency.json /tmp/q-valency.json <<'EOF'
 import json, sys
-cluster, serial = (json.load(open(f)) for f in sys.argv[1:])
+cluster, serial, cluster_val, daemon_val = (json.load(open(f)) for f in sys.argv[1:])
 assert cluster == serial, "cluster/serial result documents differ"
 assert cluster["stats"]["configs_explored"] == serial["stats"]["configs_explored"]
+assert daemon_val["result"] == cluster_val, "daemon/cluster valency documents differ"
 EOF
 fi
 # graceful drain: SIGTERM, bounded wait, both workers exit 0

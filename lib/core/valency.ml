@@ -69,34 +69,47 @@ let stats t =
 let zero = Value.int 0
 let one = Value.int 1
 
-(* Breadth-first search for a P-only execution from [cfg] deciding [v].
-   BFS visits every configuration at its shortest P-only distance, so
-   together with the visited table the search is *complete* for executions
-   of length <= horizon, and the returned witness is one of minimal
-   length.  Negative answers still only mean "not within horizon".  The
-   search's work is folded into [t]'s counters even when the budget trips
-   it; an aborted search then re-raises and is never memoized. *)
-let search t cfg ps v =
+(* Breadth-first search for P-only executions from [cfg] deciding the
+   values of [want], all answered by one run: a dequeued configuration
+   deciding a wanted value not yet found becomes that value's witness, and
+   the search stops once every wanted value has one.  BFS visits every
+   configuration at its shortest P-only distance, so together with the
+   visited table the search is *complete* for executions of length <=
+   horizon, and each witness is one of minimal length.  The dequeue order
+   does not depend on [want], so each witness is the one a search for its
+   value alone would find, and the joint run is exactly the longest of
+   those searches.  Negative answers still only mean "not within horizon".
+   Returns the witnesses in the order of [want].  The search's work is
+   folded into [t]'s counters even when the budget trips it; an aborted
+   search then re-raises and nothing it found is memoized. *)
+let search t cfg ps want =
   (* explicit enter/close (not with_span): this is the engine's hottest
      entry point and the closure must not allocate while disarmed *)
   let sp = Obs.enter ~cat:"valency" "valency.search" in
+  (* value sets as masks: bit v stands for the decision value v *)
+  let bit v = 1 lsl Value.to_int v in
+  let target = List.fold_left (fun m v -> m lor bit v) 0 want in
+  let want = Array.of_list want in
+  let found = Array.make (Array.length want) None in
+  let decided = ref 0 in
   let pk = Ckey.packer t.proto in
   let fr =
     Frontier.create ~key:(Ckey.pack pk) ~size:1024 ~loc:"valency.visited"
       ~max_depth:t.horizon
   in
   Frontier.add fr cfg (cfg, []);
-  let result = ref None in
   let stop =
     match
       Frontier.run fr
         ~visit:(fun (cfg, rev_sched) _ ->
           Budget.charge t.budget 1;
-          if Config.decides cfg v then begin
-            result := Some (List.rev rev_sched);
-            Frontier.Stop
-          end
-          else Frontier.Expand)
+          for i = 0 to Array.length want - 1 do
+            if Option.is_none found.(i) && Config.decides cfg want.(i) then begin
+              found.(i) <- Some (List.rev rev_sched);
+              decided := !decided lor bit want.(i)
+            end
+          done;
+          if !decided = target then Frontier.Stop else Frontier.Expand)
         ~expand:(fun (cfg, rev_sched) ->
           Config.iter_successors t.proto cfg ps (fun pid coin cfg' ->
               if Frontier.offer fr cfg' then
@@ -106,10 +119,10 @@ let search t cfg ps v =
     | exception (Budget.Exhausted _ as e) -> Some e
   in
   let nodes = Frontier.explored fr and peak = Frontier.peak fr in
-  Obs.set_int sp "target" (Value.to_int v);
+  Obs.set_int sp "target" target;
   Obs.set_int sp "nodes" nodes;
   Obs.set_int sp "peak_frontier" peak;
-  Obs.set_bool sp "decided" (!result <> None);
+  Obs.set_int sp "decided" !decided;
   Obs.close sp;
   t.searches <- t.searches + 1;
   t.nodes_expanded <- t.nodes_expanded + nodes;
@@ -117,23 +130,33 @@ let search t cfg ps v =
   Obs.Metrics.incr "valency.searches";
   Obs.Metrics.incr ~by:nodes "valency.nodes_expanded";
   Obs.Metrics.gauge_max "valency.peak_frontier" peak;
-  match stop with Some e -> raise e | None -> !result
+  match stop with Some e -> raise e | None -> Array.to_list found
 
-let can_decide t cfg ps v =
-  let key =
-    { Memo_key.ck = Ckey.pack t.pk cfg; mask = Pset.to_mask ps; v = Value.to_int v }
-  in
+let lookup t key =
   match Memo.find_opt t.memo key with
-  | Some r ->
+  | Some _ as r ->
     t.memo_hits <- t.memo_hits + 1;
     Obs.Metrics.incr "valency.memo_hits";
     r
   | None ->
     t.memo_misses <- t.memo_misses + 1;
     Obs.Metrics.incr "valency.memo_misses";
-    let r = search t cfg ps v in
-    Memo.replace t.memo key r;
-    r
+    None
+
+(* [decide t cfg ps vs] answers "can P decide v from C?" for each value of
+   [vs], in order: memoized answers come from the table, the rest from one
+   joint search whose answers are then memoized. *)
+let decide t cfg ps vs =
+  let ck = Ckey.pack t.pk cfg and mask = Pset.to_mask ps in
+  let key v = { Memo_key.ck; mask; v = Value.to_int v } in
+  let answers = List.map (fun v -> (v, lookup t (key v))) vs in
+  let todo = List.filter_map (fun (v, r) -> if Option.is_none r then Some v else None) answers in
+  let fresh = if todo = [] then [] else List.combine todo (search t cfg ps todo) in
+  List.iter (fun (v, w) -> Memo.replace t.memo (key v) w) fresh;
+  List.map (fun (v, r) -> match r with Some w -> w | None -> List.assoc v fresh) answers
+
+let can_decide t cfg ps v =
+  match decide t cfg ps [ v ] with [ r ] -> r | _ -> assert false
 
 type verdict =
   | Bivalent of Execution.event list * Execution.event list
@@ -146,7 +169,10 @@ let verdict_of = function
   | None, Some w1 -> Univalent (one, w1)
   | None, None -> Blocked
 
-let classify t cfg ps = verdict_of (can_decide t cfg ps zero, can_decide t cfg ps one)
+let classify t cfg ps =
+  match decide t cfg ps [ zero; one ] with
+  | [ r0; r1 ] -> verdict_of (r0, r1)
+  | _ -> assert false
 
 let is_bivalent t cfg ps =
   match classify t cfg ps with

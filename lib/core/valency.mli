@@ -46,7 +46,9 @@ val budget : 's t -> Budget.t
 
 (** [can_decide t cfg ps v] is a P-only schedule from [cfg] after which [v]
     is decided, if the bounded search finds one.  A configuration in which
-    some process has already decided [v] yields [Some []]. *)
+    some process has already decided [v] yields [Some []].  Witnesses are
+    of minimal length and do not depend on which other queries were asked
+    first. *)
 val can_decide : 's t -> 's Config.t -> Pset.t -> Value.t -> Execution.event list option
 
 (** Binary-consensus classification of [ps] from [cfg]. *)
@@ -57,6 +59,10 @@ type verdict =
       (** can decide only this value (within horizon) *)
   | Blocked  (** can decide neither within horizon *)
 
+(** [classify t cfg ps] asks [can_decide] for both values at once: one
+    breadth-first search answers whichever of the two (C, P, v) keys is not
+    memoized, so the witnesses are exactly [can_decide]'s.  If the budget
+    trips inside that search, neither answer is memoized. *)
 val classify : 's t -> 's Config.t -> Pset.t -> verdict
 val is_bivalent : 's t -> 's Config.t -> Pset.t -> bool
 
@@ -64,15 +70,15 @@ val is_bivalent : 's t -> 's Config.t -> Pset.t -> bool
     horizon) from [cfg]. *)
 val univalent_value : 's t -> 's Config.t -> Pset.t -> Value.t option
 
-(** Number of [can_decide] searches actually run (memo misses). *)
+(** BFS runs; one per [classify] miss (or [can_decide] miss). *)
 val searches : 's t -> int
 
 (** Cumulative search-engine counters of this oracle. *)
 type stats = {
-  searches : int;  (** BFS searches actually run (memo misses) *)
+  searches : int;  (** BFS runs; one per [classify] miss (or [can_decide] miss) *)
   nodes_expanded : int;  (** configurations dequeued across all searches *)
-  memo_hits : int;
-  memo_misses : int;
+  memo_hits : int;  (** (C, P, v) keys *)
+  memo_misses : int;  (** (C, P, v) keys *)
   peak_frontier : int;  (** high-water mark of any single search's queue *)
 }
 

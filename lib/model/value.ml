@@ -48,16 +48,16 @@ let rec hash = function
 (* Zigzag varint: a self-delimiting prefix code, so concatenations of
    encoded values decode unambiguously — key packings built from it are
    injective by construction. *)
-let add_varint buf n =
-  let n = (n lsl 1) lxor (n asr 62) in
-  let rec go n =
-    if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let rec add_unsigned buf n =
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    add_unsigned buf (n lsr 7)
+  end
+
+(* top level, not a local closure over [buf]: every packed key runs dozens
+   of these *)
+let add_varint buf n = add_unsigned buf ((n lsl 1) lxor (n asr 62))
 
 let rec encode buf = function
   | Bot -> Buffer.add_char buf '\000'

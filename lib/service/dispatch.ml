@@ -5,7 +5,7 @@ module Explore = Ts_checker.Explore
 module Obs = Ts_obs.Obs
 module Store = Ts_store.Store
 
-let cache_version = 2
+let cache_version = 3
 
 type t = {
   cache : string Cache.t;

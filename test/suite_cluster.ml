@@ -163,23 +163,28 @@ let test_differential_resilient () =
   in
   differential ~workers:2 p r
 
-let test_differential_valency () =
+let valency_differential ~horizon =
   let p =
     {
       Coord.default_params with
       op = Coord.Valency;
       protocol = "racing";
       n = 2;
-      horizon = Some 8;
+      horizon = Some horizon;
       shards = 5;
       chunk = 32;
     }
   in
   let r =
     { Request.defaults with op = Request.Valency; protocol = "racing"; n = 2;
-      horizon = Some 8 }
+      horizon = Some horizon }
   in
   differential ~workers:2 p r
+
+(* horizon 8 decides neither value; horizon 20 decides both, so the
+   serial oracle's one joint search stops at the later of two witnesses *)
+let test_differential_valency () = valency_differential ~horizon:8
+let test_differential_valency_bivalent () = valency_differential ~horizon:20
 
 let test_steal_preserves_answer () =
   (* a steal threshold of 1 forces migrations at nearly every round
@@ -328,6 +333,8 @@ let suite =
       Alcotest.test_case "differential: check swap" `Quick test_differential_check_swap;
       Alcotest.test_case "differential: resilient" `Quick test_differential_resilient;
       Alcotest.test_case "differential: valency" `Quick test_differential_valency;
+      Alcotest.test_case "differential: valency bivalent" `Quick
+        test_differential_valency_bivalent;
       Alcotest.test_case "stealing preserves the answer" `Quick
         test_steal_preserves_answer;
       Alcotest.test_case "worker death yields a structured partial" `Quick

@@ -66,6 +66,91 @@ let test_memoization () =
   ignore (Valency.can_decide t i0 (Pset.all 2) Valency.zero);
   Alcotest.(check int) "second query served from memo" s1 (Valency.searches t)
 
+(* The joint search behind [classify] must answer exactly what two
+   single-value [can_decide] searches answer, witness for witness, and run
+   exactly as long as the longer of them. *)
+let verdict_string =
+  let sched = Fmt.(brackets (list ~sep:sp Execution.pp_event)) in
+  function
+  | Valency.Bivalent (w0, w1) -> Fmt.str "bivalent %a / %a" sched w0 sched w1
+  | Valency.Univalent (v, w) -> Fmt.str "univalent %a %a" Value.pp v sched w
+  | Valency.Blocked -> "blocked"
+
+let joint_matches_single proto ~horizon cfg ps =
+  let joint = Valency.create proto ~horizon in
+  let single = Valency.create proto ~horizon in
+  let got = Valency.classify joint cfg ps in
+  let nodes () = (Valency.stats single).Valency.nodes_expanded in
+  let w0 = Valency.can_decide single cfg ps Valency.zero in
+  let n0 = nodes () in
+  let w1 = Valency.can_decide single cfg ps Valency.one in
+  let n1 = nodes () - n0 in
+  let expected =
+    match (w0, w1) with
+    | Some w0, Some w1 -> Valency.Bivalent (w0, w1)
+    | Some w0, None -> Valency.Univalent (Valency.zero, w0)
+    | None, Some w1 -> Valency.Univalent (Valency.one, w1)
+    | None, None -> Valency.Blocked
+  in
+  let what = Fmt.str "%s, P=%a" proto.Protocol.name Pset.pp ps in
+  Alcotest.(check string) (what ^ ": verdict") (verdict_string expected) (verdict_string got);
+  Alcotest.(check int) (what ^ ": one joint search") 1 (Valency.searches joint);
+  Alcotest.(check int) (what ^ ": joint nodes = max of single")
+    (max n0 n1) (Valency.stats joint).Valency.nodes_expanded
+
+let test_joint_search_differential () =
+  List.iter
+    (fun proto ->
+      let horizon = 30 in
+      let n = proto.Protocol.num_processes in
+      let i0 = initial (Valency.create proto ~horizon) in
+      let schedule =
+        match Theorem.theorem1_escalate proto ~initial_horizon:horizon with
+        | Theorem.Complete c, _ -> c.Theorem.schedule
+        | Theorem.Partial _, _ -> Alcotest.fail "Theorem 1 on n=3 should complete"
+      in
+      (* every fourth configuration along the witness, the last included *)
+      let rec along cfg i = function
+        | [] -> [ cfg ]
+        | e :: rest ->
+          let tail = along (fst (Execution.apply proto cfg [ e ])) (i + 1) rest in
+          if i mod 4 = 0 then cfg :: tail else tail
+      in
+      List.iter
+        (fun cfg ->
+          for mask = 1 to (1 lsl n) - 1 do
+            let ps = Pset.filter (fun p -> mask land (1 lsl p) <> 0) (Pset.all n) in
+            joint_matches_single proto ~horizon cfg ps
+          done)
+        (along i0 0 schedule))
+    [ Racing.make ~n:3; Racing.make_randomized ~n:3 ]
+
+let test_joint_search_budget () =
+  (* racing n=2 from I is bivalent; cap the budget at the shorter
+     single-value search, so the joint search finds one witness and then
+     trips *)
+  let proto = Racing.make ~n:2 in
+  let horizon = 20 and ps = Pset.all 2 in
+  let i0 = initial (Valency.create proto ~horizon) in
+  let single_nodes v =
+    let t = Valency.create proto ~horizon in
+    ignore (Valency.can_decide t i0 ps v);
+    (Valency.stats t).Valency.nodes_expanded
+  in
+  let n0 = single_nodes Valency.zero and n1 = single_nodes Valency.one in
+  Alcotest.(check bool) "the two searches differ in length" true (n0 <> n1);
+  let t = Valency.create ~budget:(Budget.create ~max_nodes:(min n0 n1) ()) proto ~horizon in
+  let trips f = match f () with _ -> false | exception Budget.Exhausted _ -> true in
+  Alcotest.(check bool) "joint search trips" true
+    (trips (fun () -> Valency.classify t i0 ps));
+  (* a memoized answer would come back without charging the spent budget *)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "answer not memoized" true
+        (trips (fun () -> Valency.can_decide t i0 ps v)))
+    [ Valency.zero; Valency.one ];
+  Alcotest.(check int) "no memo hits" 0 (Valency.stats t).Valency.memo_hits
+
 let test_lemma1_requires_three () =
   let t = racing2 () in
   Alcotest.check_raises "|P| >= 3" (Invalid_argument "Lemmas.lemma1: |P| must be >= 3")
@@ -337,4 +422,8 @@ let suite =
       Alcotest.test_case "certificate pretty-printing" `Quick test_certificate_pp;
       Alcotest.test_case "bound curves" `Quick test_bounds;
       Alcotest.test_case "covering helpers" `Quick test_covering_helpers;
+      Alcotest.test_case "joint search = two single searches" `Slow
+        test_joint_search_differential;
+      Alcotest.test_case "tripped joint search memoizes nothing" `Quick
+        test_joint_search_budget;
     ] )
