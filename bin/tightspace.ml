@@ -1644,7 +1644,7 @@ let cluster_worker host port verbose =
     0
 
 let cluster_coordinate opname protocol n k t_faults max_configs max_depth
-    horizon shards steal_threshold chunk deadline restarts worker_specs
+    horizon shards chunk deadline restarts worker_specs
     store_path fsync json verbose =
   let module Coord = Ts_cluster.Coord in
   let module Json_ = Ts_analysis.Json in
@@ -1666,12 +1666,13 @@ let cluster_coordinate opname protocol n k t_faults max_configs max_depth
     | "valency" -> Ok Coord.Valency
     | other -> Error other
   in
-  match op with
-  | Error other ->
+  match (op, protocol_of_name protocol n) with
+  | Error other, _ ->
     Format.eprintf
       "cluster coordinate: unknown op %s (check, resilient, valency)@." other;
     2
-  | Ok op -> (
+  | Ok _, Error (`Msg m) -> prerr_endline m; 1
+  | Ok op, Ok _ -> (
     let params =
       {
         Coord.default_params with
@@ -1684,7 +1685,6 @@ let cluster_coordinate opname protocol n k t_faults max_configs max_depth
         max_depth;
         horizon;
         shards;
-        steal_threshold;
         chunk;
         deadline;
       }
@@ -1806,7 +1806,7 @@ let cluster_cmd =
     Cmd.v
       (Cmd.info "worker"
          ~doc:"Run one cluster worker node: holds a subset of the shards, \
-               answers the coordinator's ingest/expand/steal frames, and \
+               answers the coordinator's ingest/expand frames, and \
                drains cleanly on SIGINT/SIGTERM")
       Term.(const cluster_worker $ host $ port $ verbose)
   in
@@ -1833,13 +1833,6 @@ let cluster_cmd =
            & info [ "shards" ] ~docv:"S"
                ~doc:"Shard count for the key partition; the answer is \
                      shard-count independent.")
-    in
-    let steal_threshold =
-      Arg.(value & opt int 64
-           & info [ "steal-threshold" ] ~docv:"N"
-               ~doc:"Migrate a shard to an idle worker only when some worker \
-                     holds at least N pending candidates over two or more \
-                     shards.")
     in
     let chunk =
       Arg.(value & opt int 256
@@ -1885,7 +1878,7 @@ let cluster_cmd =
                (worker death or blown deadline)")
       Term.(const cluster_coordinate $ opname $ protocol_arg $ n_arg $ k $ t
             $ max_configs_arg $ max_depth_arg $ horizon $ shards
-            $ steal_threshold $ chunk $ deadline_arg $ restarts $ workers
+            $ chunk $ deadline_arg $ restarts $ workers
             $ store $ fsync $ json_arg $ verbose)
   in
   Cmd.group
@@ -1902,7 +1895,7 @@ let () =
      backtrace. *)
   let code =
     try
-      Cmd.eval'
+      Cmd.eval' ~catch:false
         (Cmd.group info
            [
              witness_cmd; check_cmd; resilient_cmd; jtt_cmd; mutex_cmd;
@@ -1927,5 +1920,8 @@ let () =
         "tightspace: invalid arguments: %s@.hint: check -n, --t, --k and the chosen --protocol fit together.@."
         msg;
       2
+    | exn ->
+      Format.eprintf "tightspace: internal error: %s@." (Printexc.to_string exn);
+      125
   in
   exit code

@@ -428,6 +428,35 @@ done
 wait "$W1_PID"
 wait "$W2_PID"
 
+echo "== cluster wire ops and CLI guard exits =="
+# the worker's dispatched ops and the handbook's wire table name the
+# same set, in both directions
+if command -v python3 > /dev/null 2>&1; then
+  python3 ci/wire_ops.py
+else
+  echo "python3 not installed; skipping wire-op drift check"
+fi
+# an engine exception reaches the last-resort guard (exit 2), not
+# cmdliner's generic handler (exit 125)
+set +e
+timeout 300 "$TS" check --protocol broken-rogue -n 2 > /dev/null 2> /tmp/ci-rogue.err
+RC=$?
+set -e
+if [ "$RC" -ne 2 ] || grep -q "uncaught exception" /tmp/ci-rogue.err; then
+  echo "ci: check broken-rogue exited $RC, want 2 via the guard" >&2
+  cat /tmp/ci-rogue.err >&2; exit 1
+fi
+# an unknown protocol is refused before any worker is contacted
+set +e
+timeout 60 "$TS" cluster coordinate check --protocol nosuch -n 2 \
+  --worker 127.0.0.1:1 > /dev/null 2>&1
+RC=$?
+set -e
+if [ "$RC" -ne 1 ]; then
+  echo "ci: cluster coordinate with an unknown protocol exited $RC, want 1" >&2
+  exit 1
+fi
+
 echo "== cluster walkthrough (docs/CLUSTER.md fence, verbatim; 10 min cap) =="
 # the operator's handbook is a contract: the quick-start fence must run
 # exactly as printed, from the repo root, after dune build

@@ -67,7 +67,6 @@ type params = {
   horizon : int option;
   shards : int;
   deadline : float option;
-  steal_threshold : int;
   chunk : int;
 }
 
@@ -85,7 +84,6 @@ let default_params =
     horizon = None;
     shards = 8;
     deadline = None;
-    steal_threshold = 64;
     chunk = 256;
   }
 
@@ -115,12 +113,11 @@ exception Deadline_hit
 type state = {
   peers : peer array;
   params : params;
-  assign : int array;  (* shard -> position in [peers]; mutated by steals *)
+  assign : int array;  (* shard -> position in [peers], round-robin *)
   seqs : int array;  (* per peer, reset at each search's init *)
   mutable round : int;
   mutable vector : int option;
   mutable dead : (int * string) list;
-  mutable steals : int;
   deadline_at : float option;
   tele : (string, int) Hashtbl.t array;
 }
@@ -384,83 +381,6 @@ let expand st ~search items =
     items;
   Array.of_list (List.rev !out)
 
-(* --- work stealing --------------------------------------------------------
-
-   Decided at the round barrier, after expansion: if some worker has no
-   next-round candidates while another holds at least [steal_threshold]
-   of them spread over >= 2 shards, migrate the busy worker's smallest
-   nonempty shard (visited set and all) to the idle one.  The answer
-   only ever depends on the key->shard partition, never on which worker
-   holds a shard, so stealing is invisible to the result. *)
-
-let maybe_steal st ~search next_cands =
-  let nw = Array.length st.peers in
-  if nw >= 2 then begin
-    let sc = Array.make st.params.shards 0 in
-    Array.iter (fun c -> sc.(c.rshard) <- sc.(c.rshard) + 1) next_cands;
-    let wtotal = Array.make nw 0 in
-    let wshards = Array.make nw 0 in
-    Array.iteri
-      (fun s cnt ->
-        if cnt > 0 then begin
-          let w = st.assign.(s) in
-          wtotal.(w) <- wtotal.(w) + cnt;
-          wshards.(w) <- wshards.(w) + 1
-        end)
-      sc;
-    let idle = ref (-1) in
-    let busy = ref (-1) in
-    for w = nw - 1 downto 0 do
-      if wtotal.(w) = 0 then idle := w
-    done;
-    for w = 0 to nw - 1 do
-      if
-        wtotal.(w) >= st.params.steal_threshold
-        && wshards.(w) >= 2
-        && (!busy < 0 || wtotal.(w) > wtotal.(!busy))
-      then busy := w
-    done;
-    if !idle >= 0 && !busy >= 0 && !idle <> !busy then begin
-      let victim = ref (-1) in
-      for s = st.params.shards - 1 downto 0 do
-        if st.assign.(s) = !busy && sc.(s) > 0 && (!victim < 0 || sc.(s) <= sc.(!victim))
-        then victim := s
-      done;
-      if !victim >= 0 then begin
-        let exp_doc =
-          Json.Obj
-            [
-              ("op", Json.Str "cluster-steal-export");
-              ("search", Json.Str search);
-              ("seq", Json.Int (next_seq st !busy));
-              ("shard", Json.Int !victim);
-            ]
-        in
-        let keys =
-          match phase st [ (!busy, [ exp_doc ]) ] with
-          | [ (_, [ r ]) ] -> (
-            match Json.member "keys" r with
-            | Some (Json.List ks) -> ks
-            | _ -> wire_fail st !busy "steal-export reply missing keys")
-          | _ -> wire_fail st !busy "steal-export reply shape"
-        in
-        let imp_doc =
-          Json.Obj
-            [
-              ("op", Json.Str "cluster-steal-import");
-              ("search", Json.Str search);
-              ("seq", Json.Int (next_seq st !idle));
-              ("shard", Json.Int !victim);
-              ("keys", Json.List keys);
-            ]
-        in
-        ignore (phase st [ (!idle, [ imp_doc ]) ]);
-        st.assign.(!victim) <- !idle;
-        st.steals <- st.steals + 1
-      end
-    end
-  end
-
 (* --- one distributed BFS --------------------------------------------------
 
    Level-synchronous rounds over the workers, with the serial engine's
@@ -598,10 +518,7 @@ let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
       else begin
         let next = expand st ~search allowed in
         if Array.length next = 0 then clean ()
-        else begin
-          maybe_steal st ~search next;
-          go (round + 1) next allowed
-        end
+        else go (round + 1) next allowed
       end
     end
   in
@@ -819,7 +736,6 @@ let telemetry_json st =
   Json.Obj
     [
       ("shards", Json.Int st.params.shards);
-      ("steals", Json.Int st.steals);
       ("workers", Json.List workers);
     ]
 
@@ -844,7 +760,6 @@ let run_once params peers_arr =
       round = 0;
       vector = None;
       dead = [];
-      steals = 0;
       deadline_at =
         Option.map (fun d -> Unix.gettimeofday () +. d) params.deadline;
       tele = Array.init nw (fun _ -> Hashtbl.create 8);

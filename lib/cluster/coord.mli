@@ -58,16 +58,13 @@ type params = {
   horizon : int option;  (** [Valency]; defaults to [10 * n] *)
   shards : int;
   deadline : float option;  (** coordinator wall-clock budget, seconds *)
-  steal_threshold : int;
-      (** migrate a shard when an idle worker coexists with one holding
-          at least this many pending candidates over >= 2 shards *)
   chunk : int;  (** max candidates per frame *)
 }
 
 (** Engine defaults mirroring the service request defaults: [k = 1],
     [t_faults = 1], [max_configs = 60_000], [max_depth = 40],
     [solo_budget = 300], [check_solo = true], [shards = 8],
-    [steal_threshold = 64], [chunk = 256], no deadline.  The chunk
+    [chunk = 256], no deadline.  The chunk
     default keeps a single ingest frame's engine work (deep updates plus
     solo probes per candidate) well under the peer RPC timeout: a slow
     frame must mean a dead worker, not a busy one. *)

@@ -43,50 +43,6 @@ let sched_of_string s =
     in
     go [] (String.split_on_char ',' s)
 
-(* Serial event rank: pid major; within a pid, heads (and the coinless
-   single step) before tails — the order [Config.iter_successors] emits. *)
-let event_rank { Execution.pid; coin } =
-  (pid * 2) + match coin with Some false -> 1 | _ -> 0
-
-let rec compare_sched a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: a', y :: b' ->
-    let c = compare (event_rank x) (event_rank y) in
-    if c <> 0 then c else compare_sched a' b'
-
-(* --- hex codec ----------------------------------------------------------- *)
-
-let hex_encode raw =
-  let buf = Buffer.create (String.length raw * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents buf
-
-let hex_decode hex =
-  let len = String.length hex in
-  if len mod 2 <> 0 then Error "odd-length hex string"
-  else
-    let nibble c =
-      match c with
-      | '0' .. '9' -> Ok (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Ok (Char.code c - Char.code 'A' + 10)
-      | _ -> Error (Printf.sprintf "bad hex character %C" c)
-    in
-    let buf = Buffer.create (len / 2) in
-    let rec go i =
-      if i >= len then Ok (Buffer.contents buf)
-      else
-        match (nibble hex.[i], nibble hex.[i + 1]) with
-        | Ok hi, Ok lo ->
-          Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
-          go (i + 2)
-        | Error e, _ | _, Error e -> Error e
-    in
-    go 0
-
 (* --- field helpers ------------------------------------------------------- *)
 
 let get_str doc k =

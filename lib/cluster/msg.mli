@@ -25,17 +25,6 @@ module Json := Ts_analysis.Json
 val sched_to_string : Ts_model.Execution.event list -> string
 val sched_of_string : string -> (Ts_model.Execution.event list, string) result
 
-(** Lexicographic schedule order by serial event rank (pid ascending,
-    heads before tails) — the serial BFS's within-level dequeue order.
-    Total on schedules of equal length; a strict prefix sorts first. *)
-val compare_sched :
-  Ts_model.Execution.event list -> Ts_model.Execution.event list -> int
-
-(** {1 Raw-digest hex codec} (for visited-set migration) *)
-
-val hex_encode : string -> string
-val hex_decode : string -> (string, string) result
-
 (** {1 Frontier candidates} *)
 
 type cand = {
@@ -43,8 +32,6 @@ type cand = {
   sched : string;  (** schedule token string reaching it *)
 }
 
-val cand_to_json : cand -> Json.t
-val cand_of_json : Json.t -> (cand, string) result
 val cands_to_json : cand list -> Json.t
 val cands_of_json : Json.t -> (cand list, string) result
 

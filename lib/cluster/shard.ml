@@ -17,8 +17,9 @@ let score raw shard =
   mix ((shard lsr 24) land 0xff);
   !h
 
-let owner_raw ~shards raw =
-  if shards <= 0 then invalid_arg "Shard.owner_raw: shards must be positive";
+let owner ~shards key =
+  if shards <= 0 then invalid_arg "Shard.owner: shards must be positive";
+  let raw = Ts_model.Ckey.to_raw key in
   let best = ref 0 in
   let best_score = ref (score raw 0) in
   for s = 1 to shards - 1 do
@@ -31,8 +32,6 @@ let owner_raw ~shards raw =
     end
   done;
   !best
-
-let owner ~shards key = owner_raw ~shards (Ts_model.Ckey.to_raw key)
 
 let round_robin ~shards ~workers =
   if workers <= 0 || shards <= 0 then

@@ -11,17 +11,14 @@
     resharding test in [test/suite_cluster.ml] pins exactly this.
 
     Shards are a unit of {e placement}, not of hashing: which worker
-    serves a shard is a separate (mutable, work-stealing-adjusted)
-    assignment map, so migrating a shard between workers never rehashes
-    a key.  The answer of a distributed search depends only on the
-    key→shard partition, never on the shard→worker placement. *)
+    serves a shard is a separate assignment map ({!round_robin}), so
+    the placement never rehashes a key.  The answer of a distributed
+    search depends only on the key→shard partition, never on the
+    shard→worker placement. *)
 
-(** [owner_raw ~shards raw] is the owning shard of a raw digest string,
+(** [owner ~shards key] is the owning shard of the key's digest bytes,
     in [0, shards).  Deterministic, placement-independent.
     @raise Invalid_argument if [shards <= 0]. *)
-val owner_raw : shards:int -> string -> int
-
-(** [owner ~shards key] is [owner_raw] of the key's digest bytes. *)
 val owner : shards:int -> Ts_model.Ckey.t -> int
 
 (** [round_robin ~shards ~workers] is the initial shard→worker

@@ -15,8 +15,8 @@ type 's search = {
   inputs : Value.t array;
   skind : 's skind;
   shards : int;
-  (* shard -> visited raw-digest set; tables appear on first ingest for
-     the shard and leave wholesale on steal-export *)
+  (* shard -> visited raw-digest set; a table appears on the first
+     ingest for its shard *)
   visited : (int, (string, unit) Hashtbl.t) Hashtbl.t;
   (* worker-local candidate index -> materialized config + forward
      schedule, for the round's expand phase *)
@@ -29,8 +29,6 @@ type 's search = {
   mutable expanded : int;
   mutable inserted : int;
   mutable dup_hits : int;
-  mutable steals_out : int;
-  mutable steals_in : int;
 }
 
 type packed = Search : 's search -> packed
@@ -41,7 +39,6 @@ type t = {
 }
 
 let create ?(verbose = false) () = { searches = Hashtbl.create 8; verbose }
-let active_searches t = Hashtbl.length t.searches
 
 let log t fmt =
   if t.verbose then Printf.eprintf ("cluster worker: " ^^ fmt ^^ "\n%!")
@@ -119,7 +116,6 @@ let handle_init t doc =
       last_seq = 0;
       last_reply = None;
       ingested = 0; examined = 0; expanded = 0; inserted = 0; dup_hits = 0;
-      steals_out = 0; steals_in = 0;
     }
   in
   (* re-init of a known id replaces it: init is the coordinator's first
@@ -235,37 +231,6 @@ let handle_expand (Search s) doc =
   Obs.Metrics.incr ~by:(List.length items) "cluster.expanded";
   Json.Obj [ ("out", Json.List out) ]
 
-let handle_steal_export (Search s) doc =
-  let shard = or_bad "bad-request" (Msg.get_int doc "shard") in
-  let keys =
-    match Hashtbl.find_opt s.visited shard with
-    | None -> []
-    | Some tbl ->
-      let ks = Hashtbl.fold (fun raw () acc -> Msg.hex_encode raw :: acc) tbl [] in
-      Hashtbl.remove s.visited shard;
-      (* sorted so the export is deterministic — steals must not make a
-         run depend on hash-table iteration order *)
-      List.sort String.compare ks
-  in
-  s.steals_out <- s.steals_out + 1;
-  Obs.Metrics.incr "cluster.steals_out";
-  Json.Obj [ ("keys", Json.List (List.map (fun k -> Json.Str k) keys)) ]
-
-let handle_steal_import (Search s) doc =
-  let shard = or_bad "bad-request" (Msg.get_int doc "shard") in
-  let keys = or_bad "bad-request" (Msg.get_list doc "keys") in
-  let tbl = visited_for s shard in
-  List.iter
-    (fun k ->
-      match Json.to_str_opt k with
-      | None -> bad "bad-request" "keys must be hex strings"
-      | Some hex ->
-        Hashtbl.replace tbl (or_bad "bad-request" (Msg.hex_decode hex)) ())
-    keys;
-  s.steals_in <- s.steals_in + 1;
-  Obs.Metrics.incr "cluster.steals_in";
-  Json.Obj [ ("imported", Json.Int (List.length keys)) ]
-
 let stats_json (Search s) =
   Json.Obj
     [
@@ -274,16 +239,13 @@ let stats_json (Search s) =
       ("expanded", Json.Int s.expanded);
       ("inserted", Json.Int s.inserted);
       ("dup_hits", Json.Int s.dup_hits);
-      ("steals_out", Json.Int s.steals_out);
-      ("steals_in", Json.Int s.steals_in);
       ("shards_held", Json.Int (Hashtbl.length s.visited));
     ]
 
 (* --- dispatch ------------------------------------------------------------ *)
 
 let mutating = function
-  | "cluster-ingest" | "cluster-expand" | "cluster-steal-export"
-  | "cluster-steal-import" -> true
+  | "cluster-ingest" | "cluster-expand" -> true
   | _ -> false
 
 let handle t payload =
@@ -331,8 +293,6 @@ let handle t payload =
               match op with
               | "cluster-ingest" -> handle_ingest packed doc
               | "cluster-expand" -> handle_expand packed doc
-              | "cluster-steal-export" -> handle_steal_export packed doc
-              | "cluster-steal-import" -> handle_steal_import packed doc
               | _ -> assert false
             in
             let reply = Msg.ok_result ~id result in
@@ -367,20 +327,7 @@ type server = {
 
 let start config =
   let worker = create ~verbose:config.verbose () in
-  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  (try
-     Unix.bind lsock
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port))
-   with e ->
-     (try Unix.close lsock with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.listen lsock 64;
-  let bound_port =
-    match Unix.getsockname lsock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
+  let lsock, bound_port = Evloop.listen ~host:config.host ~port:config.port in
   let evloop = Evloop.create ~lsock in
   let stop_flag = Atomic.make false in
   let srv = { bound_port; stop_flag; loop_domain = None; waited = false } in

@@ -6,11 +6,10 @@
     coordinator's round messages: {b ingest} (deduplicate a batch of
     frontier candidates against the owner shard's table, examine the
     fresh ones), {b expand} (enumerate successors of previously
-    ingested configurations, tagged with their owner shards), {b steal}
-    (export/import a shard's visited set when the coordinator migrates
-    it), and {b finish} (drop the search, report telemetry).  All
-    compute runs on the event-loop domain — a worker is single-threaded
-    by design; parallelism is across workers.
+    ingested configurations, tagged with their owner shards), and
+    {b finish} (drop the search, report telemetry).  All compute runs
+    on the event-loop domain — a worker is single-threaded by design;
+    parallelism is across workers.
 
     {b Idempotency.}  Every state-mutating message carries a
     coordinator-assigned per-search sequence number.  The worker
@@ -30,8 +29,6 @@ val create : ?verbose:bool -> unit -> t
     without sockets.  Never raises: failures become typed error
     documents. *)
 val handle : t -> string -> string
-
-val active_searches : t -> int
 
 (** {1 TCP server} *)
 

@@ -38,9 +38,6 @@ type 'v t = {
   shards : 'v shard array;
   name : string;
   capacity : int;
-  (* durability tap: called after each write-through insert, outside any
-     shard lock (the store serializes internally) *)
-  mutable write_through : (Ts_model.Ckey.t -> 'v -> unit) option;
 }
 
 let create ?(shards = 8) ?(name = "cache") ~capacity () =
@@ -67,10 +64,7 @@ let create ?(shards = 8) ?(name = "cache") ~capacity () =
           });
     name;
     capacity;
-    write_through = None;
   }
-
-let set_write_through t hook = t.write_through <- Some hook
 
 let shard_of t key = t.shards.(Ckey.hash key mod Array.length t.shards)
 
@@ -143,14 +137,10 @@ let find t key =
     metrics_miss t;
     None
 
-let put ?(write_through = true) t key v =
+let put t key v =
   let shard = shard_of t key in
   (locked shard Trace.Write @@ fun () -> insert_locked shard key v);
-  metrics_entries t;
-  (* outside the shard lock: a slow durable append must never block other
-     requests hashing to this shard *)
-  if write_through then
-    match t.write_through with None -> () | Some hook -> hook key v
+  metrics_entries t
 
 let find_or_compute t key f =
   match find t key with

@@ -57,19 +57,8 @@ val find_or_compute : 'v t -> Ts_model.Ckey.t -> (unit -> 'v) -> 'v provenance
 (** [find t key] peeks without computing (still refreshes recency). *)
 val find : 'v t -> Ts_model.Ckey.t -> 'v option
 
-(** [put t key v] inserts or overwrites unconditionally, then (by
-    default) feeds the entry to the write-through hook.  Pass
-    [~write_through:false] when the value is being {e loaded from} the
-    durable layer — re-persisting what was just read would loop. *)
-val put : ?write_through:bool -> 'v t -> Ts_model.Ckey.t -> 'v -> unit
-
-(** [set_write_through t hook] taps every (write-through) insert:
-    [hook key v] runs after the in-memory insert, outside any shard
-    lock.  The service dispatcher points this at the persistent witness
-    store, making the LRU a write-through cache over the append-only
-    log.  The hook must be thread-safe — inserts come from any worker
-    domain. *)
-val set_write_through : 'v t -> (Ts_model.Ckey.t -> 'v -> unit) -> unit
+(** [put t key v] inserts or overwrites unconditionally. *)
+val put : 'v t -> Ts_model.Ckey.t -> 'v -> unit
 
 (** Drop every entry (stats survive). *)
 val clear : 'v t -> unit

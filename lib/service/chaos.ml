@@ -485,21 +485,10 @@ let relay t =
 (* ---- lifecycle -------------------------------------------------------- *)
 
 let start cfg =
-  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  (try
-     Unix.bind lsock
-       (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.listen_host, cfg.listen_port))
-   with e ->
-     close_quiet lsock;
-     raise e);
-  Unix.listen lsock 64;
-  Unix.set_nonblock lsock;
-  let bound_port =
-    match Unix.getsockname lsock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.listen_port
+  let lsock, bound_port =
+    Evloop.listen ~host:cfg.listen_host ~port:cfg.listen_port
   in
+  Unix.set_nonblock lsock;
   let t =
     {
       cfg;

@@ -24,11 +24,6 @@ let create ?(cache_capacity = 4096) ?(cache_shards = 8) ?default_deadline
     Cache.create ~shards:cache_shards ~name:"service.cache"
       ~capacity:cache_capacity ()
   in
-  (match store with
-   | None -> ()
-   | Some st ->
-     Cache.set_write_through cache (fun key value ->
-         ignore (Store.append st ~key ~value)));
   { cache; store; default_deadline; default_max_nodes; extra_stats }
 
 (* The canonical key packing: varints and length-prefixed strings, the
@@ -271,9 +266,8 @@ let route t (r : Request.t) =
         match t.store with None -> None | Some st -> Store.find st key
       with
       | Some body ->
-        (* warm the memory tier from the log — without re-appending what
-           was just read *)
-        Cache.put ~write_through:false t.cache key body;
+        (* warm the memory tier from the log *)
+        Cache.put t.cache key body;
         Answered (in_span r (fun () -> hit "recovered" body started))
       | None ->
         Deferred
@@ -282,7 +276,12 @@ let route t (r : Request.t) =
                 let started = Unix.gettimeofday () in
                 let result, complete = compute t r in
                 let body = Json.to_string result in
-                if complete then Cache.put t.cache key body;
+                if complete then begin
+                  Cache.put t.cache key body;
+                  Option.iter
+                    (fun st -> ignore (Store.append st ~key ~value:body))
+                    t.store
+                end;
                 hit "fresh" body started)))
   end
 

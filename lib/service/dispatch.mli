@@ -12,8 +12,8 @@
     the response envelope without re-rendering, which is both the
     zero-copy hot path and the differential guarantee — cached, fresh and
     recovered answers are byte-identical because they are literally the
-    same bytes.  With a store attached, every complete answer admitted to
-    the cache is written through to the append-only log, and a miss
+    same bytes.  With a store attached, every freshly computed complete
+    answer is appended to the log as it enters the cache, and a miss
     consults the log before computing: a restarted daemon answers
     previously-seen queries from disk (["provenance": "recovered"]).
 

@@ -48,6 +48,21 @@ type t = {
   n_accepted : int Atomic.t;
 }
 
+let listen ~host ~port =
+  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  (try Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+   with e ->
+     (try Unix.close lsock with Unix.Unix_error _ -> ());
+     raise e);
+  Unix.listen lsock 64;
+  let bound_port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> port
+  in
+  (lsock, bound_port)
+
 let create ~lsock =
   let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock pipe_r;

@@ -43,6 +43,13 @@ type reply =
   | Now of string
   | Later
 
+(** [listen ~host ~port] opens a listening TCP socket (close-on-exec,
+    [SO_REUSEADDR], backlog 64) and returns it with the port actually
+    bound — [port = 0] picks an ephemeral one.  On a bind failure the
+    socket is closed before the exception propagates.
+    @raise Unix.Unix_error if the address cannot be bound. *)
+val listen : host:string -> port:int -> Unix.file_descr * int
+
 val create : lsock:Unix.file_descr -> t
 
 (** [run t ~stop ~on_payload ~on_frame_error] drives the loop on the

@@ -117,28 +117,17 @@ let on_frame_error t e =
   Some (err_doc ~id:None "bad-frame" (Frame.error_to_string e))
 
 let start config =
+  (* bind first: a taken port must not leave an opened store behind *)
+  let lsock, bound_port = Evloop.listen ~host:config.host ~port:config.port in
   let store =
     match config.store_path with
     | None -> None
     | Some path -> (
       match Store.open_ ~fsync:config.store_fsync path with
       | Ok st -> Some st
-      | Error msg -> failwith ("witness store: " ^ msg))
-  in
-  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  (try
-     Unix.bind lsock
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port))
-   with e ->
-     (try Unix.close lsock with Unix.Unix_error _ -> ());
-     (match store with Some st -> Store.close st | None -> ());
-     raise e);
-  Unix.listen lsock 64;
-  let bound_port =
-    match Unix.getsockname lsock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
+      | Error msg ->
+        (try Unix.close lsock with Unix.Unix_error _ -> ());
+        failwith ("witness store: " ^ msg))
   in
   let evloop = Evloop.create ~lsock in
   (* the dispatcher's stats hook needs the server record, which needs the

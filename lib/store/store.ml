@@ -289,8 +289,8 @@ let append t ~key ~value =
   if String.length kraw = 0 then invalid_arg "Store.append: empty key";
   if String.length value > max_value_bytes then
     invalid_arg "Store.append: value exceeds max_value_bytes";
-  (* the cache write-through hook lands here from whichever domain
-     computed the answer — logged for the race detector *)
+  (* the dispatcher's fresh-answer appends land here from whichever
+     domain computed the answer — logged for the race detector *)
   Trace.access ~loc:t.loc Trace.Write ~atomic:true;
   locked t @@ fun () ->
   if Ckey.Tbl.mem t.index key then false

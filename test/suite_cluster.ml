@@ -1,5 +1,5 @@
 (* The distributed search cluster: shard routing determinism, the wire
-   codecs, and — the load-bearing property — that a multi-worker
+   codecs and op surface, and — the load-bearing property — that a multi-worker
    coordinator run produces a result document byte-identical to the
    serial engine's for every mode, plus structured degradation when a
    worker dies and full recovery through the chaos proxy. *)
@@ -81,14 +81,58 @@ let test_cand_codec () =
   | Ok c -> Alcotest.(check bool) "roundtrip" true (c = cands)
   | Error m -> Alcotest.fail m
 
-let test_hex_codec () =
-  let raws = [ ""; "\x00\xff\x42"; "hello" ] in
+(* --- worker wire surface --------------------------------------------------- *)
+
+let test_removed_ops_rejected () =
+  (* ops outside the five-op protocol are refused before the seq window
+     sees them: seq 1 is still free for the ingest sent afterwards *)
+  let w = Worker.create () in
+  let call fields =
+    match Json.of_string (Worker.handle w (Json.to_string (Json.Obj fields))) with
+    | Ok d -> d
+    | Error m -> Alcotest.fail m
+  in
+  let search = ("search", Json.Str "s") in
+  let init =
+    call
+      [ ("op", Json.Str "cluster-init"); search; ("protocol", Json.Str "racing");
+        ("n", Json.Int 2); ("mode", Json.Str "check"); ("shards", Json.Int 2);
+        ("solo_budget", Json.Int 300);
+        ("inputs", Json.List [ Json.Int 0; Json.Int 1 ]) ]
+  in
+  let root_shard =
+    match Msg.result_of_envelope init with
+    | Ok r -> (
+      match Option.bind (Json.member "root_shard" r) Json.to_int_opt with
+      | Some s -> s
+      | None -> Alcotest.fail "init reply missing root_shard")
+    | Error m -> Alcotest.fail m
+  in
   List.iter
-    (fun r ->
-      match Msg.hex_decode (Msg.hex_encode r) with
-      | Ok r' -> Alcotest.(check string) "roundtrip" r r'
-      | Error m -> Alcotest.fail m)
-    raws
+    (fun op ->
+      let reply =
+        call
+          [ ("op", Json.Str op); search; ("seq", Json.Int 1);
+            ("shard", Json.Int root_shard); ("keys", Json.List []) ]
+      in
+      let code =
+        Option.bind
+          (Option.bind (Json.member "error" reply) (Json.member "code"))
+          Json.to_str_opt
+      in
+      Alcotest.(check (option string)) (op ^ " refused") (Some "bad-request") code)
+    [ "cluster-steal-export"; "cluster-steal-import"; "cluster-nope" ];
+  let ingest =
+    call
+      [ ("op", Json.Str "cluster-ingest"); search; ("seq", Json.Int 1);
+        ("reset", Json.Bool true);
+        ("cands", Msg.cands_to_json [ { Msg.shard = root_shard; sched = "" } ]) ]
+  in
+  match Msg.result_of_envelope ingest with
+  | Ok r ->
+    Alcotest.(check (option string)) "seq 1 still executes" (Some "1")
+      (Option.bind (Json.member "flags" r) Json.to_str_opt)
+  | Error m -> Alcotest.fail m
 
 (* --- the parallel == serial differential ---------------------------------- *)
 
@@ -186,15 +230,27 @@ let valency_differential ~horizon =
 let test_differential_valency () = valency_differential ~horizon:8
 let test_differential_valency_bivalent () = valency_differential ~horizon:20
 
-let test_steal_preserves_answer () =
-  (* a steal threshold of 1 forces migrations at nearly every round
-     barrier; the answer must not notice *)
+let test_more_workers_than_shards () =
+  (* two shards over three workers: round-robin placement leaves the
+     third worker without a shard, and the answer must not notice *)
   let p =
     { (check_params ~protocol:"racing" ~n:2 ~max_configs:400 ~max_depth:12) with
-      Coord.steal_threshold = 1 }
+      Coord.shards = 2 }
   in
   let r = check_req ~protocol:"racing" ~n:2 ~max_configs:400 ~max_depth:12 in
-  differential ~workers:3 p r
+  let serial = serial_result r in
+  match Coord.run p ~peers:(local_peers 3) with
+  | Coord.Failed _ -> Alcotest.fail "cluster run failed"
+  | Coord.Complete { result; telemetry } ->
+    Alcotest.(check string) "parallel == serial" serial (Json.to_string result);
+    let idle =
+      match Json.member "workers" telemetry with
+      | Some (Json.List [ _; _; w2 ]) ->
+        Option.bind (Json.member "ingested" w2) Json.to_int_opt
+      | _ -> None
+    in
+    Alcotest.(check (option int)) "shardless worker ingested nothing" (Some 0)
+      idle
 
 (* --- failure model -------------------------------------------------------- *)
 
@@ -325,7 +381,8 @@ let suite =
       Alcotest.test_case "shard: round-robin assignment" `Quick test_round_robin;
       Alcotest.test_case "msg: schedule codec" `Quick test_sched_codec;
       Alcotest.test_case "msg: candidate codec" `Quick test_cand_codec;
-      Alcotest.test_case "msg: hex codec" `Quick test_hex_codec;
+      Alcotest.test_case "worker: removed and unknown ops are bad-request" `Quick
+        test_removed_ops_rejected;
       Alcotest.test_case "differential: check clean (1/2/3 workers)" `Quick
         test_differential_check_clean;
       Alcotest.test_case "differential: check violation" `Quick
@@ -335,8 +392,8 @@ let suite =
       Alcotest.test_case "differential: valency" `Quick test_differential_valency;
       Alcotest.test_case "differential: valency bivalent" `Quick
         test_differential_valency_bivalent;
-      Alcotest.test_case "stealing preserves the answer" `Quick
-        test_steal_preserves_answer;
+      Alcotest.test_case "differential: more workers than shards" `Quick
+        test_more_workers_than_shards;
       Alcotest.test_case "worker death yields a structured partial" `Quick
         test_worker_death_is_partial;
       Alcotest.test_case "restart on survivors completes identically" `Quick

@@ -10,7 +10,9 @@
 
 open Ts_model
 module Store = Ts_store.Store
-module Cache = Ts_core.Cache
+module Json = Ts_analysis.Json
+module Dispatch = Ts_service.Dispatch
+module Request = Ts_service.Request
 
 let tmp_path =
   let n = ref 0 in
@@ -169,24 +171,44 @@ let test_foreign_and_future_files_refused () =
        has_sub msg "version 99")
   | Ok _ -> Alcotest.fail "opened a future-versioned file"
 
-(* the cache glue: write-through persists, warm-load does not re-persist *)
+(* the dispatcher's persistence glue: a fresh complete answer is
+   appended exactly once, a recovered one is served without a new
+   append, and a partial one never reaches the log *)
 let test_write_through_cache () =
   with_log @@ fun path ->
   let t = open_ok path in
-  let cache = Cache.create ~capacity:16 () in
-  Cache.set_write_through cache (fun key value ->
-      ignore (Store.append t ~key ~value));
-  Cache.put cache (key_of "k") "persisted";
-  Alcotest.(check (option string)) "write-through reached the log"
-    (Some "persisted")
-    (Store.find t (key_of "k"));
-  let appends_before = (Store.stats t).Store.appends in
-  Cache.put ~write_through:false cache (key_of "k2") "memory-only";
-  Alcotest.(check int) "warm-load insert skipped the log" appends_before
-    (Store.stats t).Store.appends;
-  Alcotest.(check (option string)) "but is served from memory"
-    (Some "memory-only")
-    (Cache.find cache (key_of "k2"));
+  let d = Dispatch.create ~store:t () in
+  let appends () = (Store.stats t).Store.appends in
+  let provenance req =
+    match Json.member "provenance" (Dispatch.handle d req) with
+    | Some (Json.Str p) -> p
+    | _ -> Alcotest.fail "response carries no provenance"
+  in
+  let complete =
+    { Request.defaults with
+      op = Request.Check; protocol = "racing"; n = 2; max_configs = 50;
+      max_depth = 6 }
+  in
+  Alcotest.(check string) "first answer computed" "fresh" (provenance complete);
+  Alcotest.(check int) "fresh complete answer appended" 1 (appends ());
+  Alcotest.(check string) "repeat served from memory" "cached"
+    (provenance complete);
+  Dispatch.clear_cache d;
+  Alcotest.(check string) "cold memory recovers from the log" "recovered"
+    (provenance complete);
+  Alcotest.(check int) "recovered answer not re-appended" 1 (appends ());
+  Alcotest.(check string) "recovery warmed the memory tier" "cached"
+    (provenance complete);
+  let partial =
+    { Request.defaults with
+      op = Request.Witness; protocol = "racing"; n = 3; horizon = Some 30;
+      max_nodes = Some 50 }
+  in
+  Alcotest.(check string) "budgeted witness computed" "fresh"
+    (provenance partial);
+  Alcotest.(check int) "partial answer not persisted" 1 (appends ());
+  Alcotest.(check (option string)) "nor findable in the log" None
+    (Store.find t (Dispatch.cache_key partial));
   Store.close t
 
 (* ---- crash-point injection and torture --------------------------------- *)
