@@ -1771,23 +1771,32 @@ let cluster_coordinate opname protocol n k t_faults max_configs max_depth
               Format.eprintf "cluster telemetry:@.%s@."
                 (Json_.to_string_pretty telemetry);
             report_result result
-          | Coord.Failed f ->
+          | Coord.Failed f -> (
             let doc = Coord.failure_to_json f in
-            if json then pr_json doc
-            else
-              Format.eprintf
-                "cluster: PARTIAL (%s): %d worker(s) dead, %d shard(s) lost \
-                 after %d rounds; rerun with --restarts or fresh workers.@.%s@."
-                (match f.Coord.reason with
-                 | `Dead_workers -> "dead workers"
-                 | `Deadline -> "deadline")
-                (List.length f.Coord.dead)
-                (List.length f.Coord.lost_shards)
-                f.Coord.completed_rounds
-                (Json_.to_string_pretty doc);
-            (* 4 = retries exhausted against remote peers, same meaning as
-               [query]'s exhausted exit; distinct from 2 (partial budget) *)
-            4))))
+            if json then pr_json doc;
+            match f.Coord.reason with
+            | `Refused (code, msg) ->
+              (* the workers are healthy and answered: the request itself
+                 is at fault, as the serial engine would say (exit 2) *)
+              if not json then
+                Format.eprintf "cluster: REFUSED (%s): %s@." code msg;
+              2
+            | (`Dead_workers | `Deadline) as reason ->
+              if not json then
+                Format.eprintf
+                  "cluster: PARTIAL (%s): %d worker(s) dead, %d shard(s) lost \
+                   after %d rounds; rerun with --restarts or fresh workers.@.%s@."
+                  (match reason with
+                   | `Dead_workers -> "dead workers"
+                   | `Deadline -> "deadline")
+                  (List.length f.Coord.dead)
+                  (List.length f.Coord.lost_shards)
+                  f.Coord.completed_rounds
+                  (Json_.to_string_pretty doc);
+              (* 4 = retries exhausted against remote peers, same meaning
+                 as [query]'s exhausted exit; distinct from 2 (partial
+                 budget) *)
+              4)))))
 
 let cluster_cmd =
   let worker_cmd =

@@ -412,6 +412,19 @@ assert cluster["stats"]["configs_explored"] == serial["stats"]["configs_explored
 assert daemon_val["result"] == cluster_val, "daemon/cluster valency documents differ"
 EOF
 fi
+# an engine error on a worker is a refusal, not a dead worker: exit 2
+# like the serial check (see the guard leg below), no restart
+set +e
+timeout 300 "$TS" cluster coordinate check --protocol broken-rogue -n 2 \
+  --restarts 1 --worker 127.0.0.1:"$P1" --worker 127.0.0.1:"$P2" \
+  --json > /tmp/ci-cluster-rogue.json
+RC=$?
+set -e
+if [ "$RC" -ne 2 ] || ! grep -q '"status": "refused"' /tmp/ci-cluster-rogue.json; then
+  echo "ci: cluster broken-rogue exited $RC, want 2 with a refusal" >&2
+  cat /tmp/ci-cluster-rogue.json >&2
+  kill "$W1_PID" "$W2_PID" 2> /dev/null || true; exit 1
+fi
 # graceful drain: SIGTERM, bounded wait, both workers exit 0
 kill -TERM "$W1_PID" "$W2_PID"
 for PID in "$W1_PID" "$W2_PID"; do

@@ -90,7 +90,7 @@ let default_params =
 (* --- outcomes ------------------------------------------------------------- *)
 
 type failure = {
-  reason : [ `Dead_workers | `Deadline ];
+  reason : [ `Dead_workers | `Deadline | `Refused of string * string ];
   dead : (int * string) list;
   lost_shards : int list;
   reassignment : (int * int) list;
@@ -107,6 +107,7 @@ type outcome =
 
 exception Dead_peers
 exception Deadline_hit
+exception Refused of string * string
 
 (* --- coordinator state ---------------------------------------------------- *)
 
@@ -140,16 +141,28 @@ let wire_fail st pos msg =
 
 (* --- phases --------------------------------------------------------------- *)
 
+(* Why one worker's exchange ended early.  A transport error means the
+   worker is gone.  A typed error envelope is the worker answering: the
+   request itself was refused (an engine error, a bad request), and
+   resending it anywhere gets the same answer — except the two codes
+   that say the worker lost this search's state, which only a restart
+   from scratch can repair. *)
+type cut =
+  | Lost of string
+  | Refusal of string * string
+
 let send_seq st pos docs =
   let peer = st.peers.(pos) in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | d :: rest -> (
       match peer.call d with
-      | Error msg -> Error msg
+      | Error msg -> Error (Lost msg)
       | Ok env -> (
         match Msg.result_of_envelope env with
-        | Error msg -> Error msg
+        | Error (("unknown-search" | "stale-seq") as code, msg) ->
+          Error (Lost (code ^ ": " ^ msg))
+        | Error (code, msg) -> Error (Refusal (code, msg))
         | Ok r -> go (r :: acc) rest))
   in
   go [] docs
@@ -171,14 +184,14 @@ let phase st jobs =
             ( pos,
               Domain.spawn (fun () ->
                   try send_seq st pos docs
-                  with exn -> Error ("exn: " ^ Printexc.to_string exn)) ))
+                  with exn -> Error (Lost ("exn: " ^ Printexc.to_string exn))) ))
           jobs
       in
       List.map (fun (pos, d) -> (pos, Domain.join d)) doms
   in
   let deads =
     List.filter_map
-      (fun (pos, r) -> match r with Error m -> Some (pos, m) | Ok _ -> None)
+      (fun (pos, r) -> match r with Error (Lost m) -> Some (pos, m) | _ -> None)
       results
   in
   if deads <> [] then begin
@@ -190,7 +203,11 @@ let phase st jobs =
     raise Dead_peers
   end;
   List.map
-    (fun (pos, r) -> (pos, match r with Ok rs -> rs | Error _ -> assert false))
+    (fun (pos, r) ->
+      match r with
+      | Ok rs -> (pos, rs)
+      | Error (Refusal (code, msg)) -> raise (Refused (code, msg))
+      | Error (Lost _) -> assert false)
     results
 
 let chunk_list n l =
@@ -202,44 +219,104 @@ let chunk_list n l =
   in
   if l = [] then [] else go 0 [] [] 0 l
 
+let block_of st w r field =
+  match Option.bind (Json.member field r) Json.to_str_opt with
+  | Some b -> b
+  | None -> wire_fail st w (Printf.sprintf "reply missing %s" field)
+
+let decoded st w = function Ok v -> v | Error m -> wire_fail st w m
+
+(* --- one search's frontier bookkeeping -------------------------------------
+
+   Every frontier item is known by its 1-based global serial dequeue index
+   [gidx]; the coordinator keeps only its parent's index and the event
+   code that made it, so any item's schedule is a walk up the parents.
+   Configurations never leave the workers. *)
+
+type tree = {
+  mutable parent : int array;
+  mutable event : int array;
+  mutable kids : int array;  (* fresh children recorded per item *)
+  mutable size : int;  (* items recorded: gidx 1 .. size *)
+}
+
+let tree_create () =
+  { parent = Array.make 1024 0; event = Array.make 1024 0;
+    kids = Array.make 1024 0; size = 0 }
+
+let tree_add t ~parent ~event =
+  let g = t.size + 1 in
+  if g >= Array.length t.parent then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    t.parent <- grow t.parent;
+    t.event <- grow t.event;
+    t.kids <- grow t.kids
+  end;
+  t.parent.(g) <- parent;
+  t.event.(g) <- event;
+  t.kids.(parent) <- t.kids.(parent) + 1;
+  t.size <- g
+
+(* the schedule reaching item [g] from the root (gidx 1) *)
+let schedule t g =
+  let rec go g acc =
+    if g <= 1 then acc else go t.parent.(g) (Msg.event_of_code t.event.(g) :: acc)
+  in
+  go g []
+
 (* --- the round messages --------------------------------------------------- *)
 
-(* a routed candidate: owner shard, schedule string, generating parent's
-   global dequeue index *)
-type rc = {
-  rshard : int;
-  rsched : string;
+(* a routed candidate: owner shard, where it was made (worker position and
+   id in that worker's successor table), its key bytes when the owner is
+   another worker, and its parent's gidx and event code *)
+type cand = {
+  shard : int;
+  src : int;
+  sid : int;
+  key : string option;
   parent : int;
+  ev : int;
 }
 
 (* a deduplicated frontier member, in serial dequeue order *)
 type item = {
   gidx : int;  (* 1-based global serial dequeue index *)
-  sched : string;
   wpos : int;  (* peer holding it *)
-  widx : int;  (* its worker-local pending index *)
+  widx : int;  (* its index among the worker's fresh items of the round *)
   probes : int;
+  stop : int;  (* Msg.verdict stopping marks *)
   vio : Json.t option;
-  decided : bool;
 }
 
 type ingested = {
   items : item array;
   dup_hits : int;
-  parent_miss : (int, int) Hashtbl.t;
 }
 
-let ingest st ~search ~examine ~gbase cands =
+let ingest st tree ~search ~examine cands =
   let nw = Array.length st.peers in
   let per_w = Array.make nw [] in
   let counts = Array.make nw 0 in
   let wslot = Array.make (Array.length cands) (0, 0) in
+  (* siblings share their parent's schedule: rebuild it once per parent *)
+  let last = ref (-1, []) in
+  let sched_of parent ev =
+    if fst !last <> parent then last := (parent, schedule tree parent);
+    snd !last @ [ Msg.event_of_code ev ]
+  in
   Array.iteri
     (fun gpos c ->
-      let w = st.assign.(c.rshard) in
+      let w = st.assign.(c.shard) in
       let i = counts.(w) in
       counts.(w) <- i + 1;
-      per_w.(w) <- c :: per_w.(w);
+      let wire =
+        if w = c.src then Msg.Local c.sid
+        else
+          match c.key with
+          | Some k -> Msg.Remote (k, sched_of c.parent c.ev)
+          | None -> wire_fail st c.src "remote successor without a key"
+      in
+      per_w.(w) <- wire :: per_w.(w);
       wslot.(gpos) <- (w, i))
     cands;
   let jobs =
@@ -253,79 +330,59 @@ let ingest st ~search ~examine ~gbase cands =
                   ("search", Json.Str search);
                   ("seq", Json.Int (next_seq st w));
                   ("reset", Json.Bool (off = 0));
-                  ("base", Json.Int off);
                   ("examine", Json.Bool examine);
-                  ( "cands",
-                    Msg.cands_to_json
-                      (List.map
-                         (fun c -> { Msg.shard = c.rshard; sched = c.rsched })
-                         chunk) );
+                  ("cands", Json.Str (Msg.cands_to_block chunk));
                 ])
             (chunk_list st.params.chunk (List.rev per_w.(w)))
         in
         (w, docs))
   in
   let replies = phase st jobs in
-  let flags = Array.make nw "" in
-  let exams = Array.init nw (fun _ -> Hashtbl.create 8) in
+  let verdicts = Array.make nw [||] in
+  let vios = Array.init nw (fun _ -> Hashtbl.create 4) in
   List.iter
     (fun (w, rs) ->
+      verdicts.(w) <-
+        Array.concat
+          (List.map
+             (fun r -> Array.of_list (decoded st w (Msg.verdicts_of_block (block_of st w r "flags"))))
+             rs);
       List.iter
         (fun r ->
-          (match Option.bind (Json.member "flags" r) Json.to_str_opt with
-          | Some f -> flags.(w) <- flags.(w) ^ f
-          | None -> wire_fail st w "ingest reply missing flags");
-          match Json.member "exams" r with
-          | Some (Json.List es) ->
+          match Json.member "vios" r with
+          | Some (Json.List vs) ->
             List.iter
-              (fun e ->
-                match Option.bind (Json.member "i" e) Json.to_int_opt with
-                | None -> wire_fail st w "exam entry missing i"
-                | Some i ->
-                  let probes =
-                    Option.value ~default:0
-                      (Option.bind (Json.member "p" e) Json.to_int_opt)
-                  in
-                  let vio = Json.member "v" e in
-                  let decided =
-                    match Json.member "d" e with
-                    | Some (Json.Bool b) -> b
-                    | _ -> false
-                  in
-                  Hashtbl.replace exams.(w) i (probes, vio, decided))
-              es
-          | _ -> wire_fail st w "ingest reply missing exams")
+              (fun v ->
+                match (Option.bind (Json.member "i" v) Json.to_int_opt, Json.member "v" v) with
+                | Some i, Some payload -> Hashtbl.replace vios.(w) i payload
+                | _ -> wire_fail st w "malformed violation entry")
+              vs
+          | _ -> wire_fail st w "ingest reply missing vios")
         rs)
     replies;
   Array.iteri
-    (fun w f ->
-      if String.length f <> counts.(w) then wire_fail st w "flag count mismatch")
-    flags;
+    (fun w v ->
+      if Array.length v <> counts.(w) then wire_fail st w "verdict count mismatch")
+    verdicts;
+  (* the worker numbers its fresh items in its own stream's order *)
+  let fresh = Array.make nw 0 in
   let items = ref [] in
-  let nitems = ref 0 in
   let dups = ref 0 in
-  let pmiss = Hashtbl.create 64 in
   Array.iteri
     (fun gpos c ->
       let w, i = wslot.(gpos) in
-      match flags.(w).[i] with
-      | '0' -> incr dups
-      | '1' ->
-        incr nitems;
-        let probes, vio, decided =
-          match Hashtbl.find_opt exams.(w) i with
-          | Some e -> e
-          | None -> (0, None, false)
-        in
+      match verdicts.(w).(i) with
+      | Msg.Dup -> incr dups
+      | Msg.Fresh { stop; probes } ->
+        tree_add tree ~parent:c.parent ~event:c.ev;
+        let widx = fresh.(w) in
+        fresh.(w) <- widx + 1;
         items :=
-          { gidx = gbase + !nitems; sched = c.rsched; wpos = w; widx = i;
-            probes; vio; decided }
-          :: !items;
-        Hashtbl.replace pmiss c.parent
-          (1 + Option.value ~default:0 (Hashtbl.find_opt pmiss c.parent))
-      | _ -> wire_fail st w "bad flag byte")
+          { gidx = tree.size; wpos = w; widx; probes; stop;
+            vio = Hashtbl.find_opt vios.(w) widx }
+          :: !items)
     cands;
-  { items = Array.of_list (List.rev !items); dup_hits = !dups; parent_miss = pmiss }
+  { items = Array.of_list (List.rev !items); dup_hits = !dups }
 
 let expand st ~search items =
   let nw = Array.length st.peers in
@@ -335,50 +392,57 @@ let expand st ~search items =
     List.init nw (fun w ->
         let docs =
           List.map
-            (fun (_, chunk) ->
+            (fun (off, chunk) ->
               Json.Obj
                 [
                   ("op", Json.Str "cluster-expand");
                   ("search", Json.Str search);
                   ("seq", Json.Int (next_seq st w));
-                  ("items", Json.List (List.map (fun i -> Json.Int i) chunk));
+                  ("reset", Json.Bool (off = 0));
+                  ("items", Json.Str (Msg.ints_to_block chunk));
                 ])
             (chunk_list st.params.chunk (List.rev per_w.(w)))
         in
         (w, docs))
   in
   let replies = phase st jobs in
-  let tbl = Hashtbl.create (max 16 (Array.length items * 2)) in
+  (* per worker, one successor list per requested item in request order;
+     successor ids count up from 0 across the worker's replies, exactly
+     as the worker numbered them *)
+  let succs = Array.make nw [||] in
   List.iter
     (fun (w, rs) ->
-      List.iter
-        (fun r ->
-          match Json.member "out" r with
-          | Some (Json.List outs) ->
-            List.iter
-              (fun o ->
-                match
-                  ( Option.bind (Json.member "i" o) Json.to_int_opt,
-                    Option.map Msg.cands_of_json (Json.member "c" o) )
-                with
-                | Some i, Some (Ok cs) -> Hashtbl.replace tbl (w, i) cs
-                | _, Some (Error m) -> wire_fail st w m
-                | _ -> wire_fail st w "malformed expand entry")
-              outs
-          | _ -> wire_fail st w "expand reply missing out")
-        rs)
+      succs.(w) <-
+        Array.concat
+          (List.map
+             (fun r ->
+               Array.of_list
+                 (decoded st w
+                    (Msg.succs_of_block ~shards:st.params.shards (block_of st w r "succs"))))
+             rs))
     replies;
+  let next = Array.make nw 0 in
+  let sid = Array.make nw 0 in
   let out = ref [] in
   Array.iter
     (fun it ->
-      match Hashtbl.find_opt tbl (it.wpos, it.widx) with
-      | None -> wire_fail st it.wpos "expand reply missing item"
-      | Some cs ->
-        List.iter
-          (fun { Msg.shard; sched } ->
-            out := { rshard = shard; rsched = sched; parent = it.gidx } :: !out)
-          cs)
+      let w = it.wpos in
+      if next.(w) >= Array.length succs.(w) then
+        wire_fail st w "expand reply missing item";
+      let cs = succs.(w).(next.(w)) in
+      next.(w) <- next.(w) + 1;
+      List.iter
+        (fun { Msg.event; shard; key } ->
+          out :=
+            { shard; src = w; sid = sid.(w); key; parent = it.gidx;
+              ev = Msg.event_code event }
+            :: !out;
+          sid.(w) <- sid.(w) + 1)
+        cs)
     items;
+  Array.iteri
+    (fun w n -> if n <> Array.length succs.(w) then wire_fail st w "expand reply has extra items")
+    next;
   Array.of_list (List.rev !out)
 
 (* --- one distributed BFS --------------------------------------------------
@@ -397,15 +461,17 @@ let expand st ~search items =
      queue's high-water mark is the max of that expression over expanded
      items (non-expanded dequeues only ever shrink the queue and cannot
      set a new peak);
-   - a violating item W stops the serial search mid-round: items after W
-     are never dequeued (their probes don't count), items before W were
-     dequeued and expanded (their children's flags and the trunc check
-     do count) — the drain pass reproduces exactly that. *)
+   - the search stops at the first item W (in that order) after which
+     every wanted stopping mark has been seen — a violation for the
+     examiners, each wanted decision value for a valency probe.  Items
+     after W are never dequeued (their probes don't count), items before
+     W were dequeued and expanded (their children's flags and the trunc
+     check do count) — the drain pass reproduces exactly that. *)
 
 type bfs_res = {
-  found : (string * Json.t option) option;
-      (* stopping item's schedule + violation payload (None = valency
-         target decided) *)
+  witnesses : (int * Execution.event list) list;
+      (* stopping mark -> schedule of the first item carrying it *)
+  vio : Json.t option;  (* the stopping item's violation payload *)
   explored : int;
   insertions : int;
   hits : int;
@@ -415,11 +481,11 @@ type bfs_res = {
   peak : int;
 }
 
-let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
+let bfs st ~search ~inputs ~mode_fields ~want ~depth_limit ~cfg_limit =
   let nw = Array.length st.peers in
   Array.fill st.seqs 0 nw 0;
   st.round <- 0;
-  let init_doc =
+  let init_doc w =
     Json.Obj
       ([
          ("op", Json.Str "cluster-init");
@@ -427,19 +493,22 @@ let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
          ("protocol", Json.Str st.params.protocol);
          ("n", Json.Int st.params.n);
          ("shards", Json.Int st.params.shards);
+         ("owners", Json.List (Array.to_list (Array.map (fun w -> Json.Int w) st.assign)));
+         ("self", Json.Int w);
          ("inputs", Json.List (Array.to_list (Array.map Msg.value_to_json inputs)));
        ]
       @ mode_fields)
   in
-  let replies = phase st (List.init nw (fun w -> (w, [ init_doc ]))) in
+  let replies = phase st (List.init nw (fun w -> (w, [ init_doc w ]))) in
   let root_shard =
     match replies with
     | (w, r :: _) :: _ -> (
       match Option.bind (Json.member "root_shard" r) Json.to_int_opt with
-      | Some s -> s
-      | None -> wire_fail st w "init reply missing root_shard")
+      | Some s when s >= 0 && s < st.params.shards -> s
+      | _ -> wire_fail st w "init reply missing root_shard")
     | _ -> invalid_arg "cluster: no workers"
   in
+  let tree = tree_create () in
   (* serial-counter accumulator; the root is pre-seeded exactly as the
      serial search seeds it (one insertion, peak 1) *)
   let ins = ref 1 in
@@ -449,31 +518,46 @@ let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
   let trunc = ref false in
   let cum = ref 1 in
   let peak = ref 1 in
-  let gbase = ref 0 in
-  let account parents pmiss =
+  let seen = ref 0 in
+  let witnesses = ref [] in
+  (* each item is expanded at most once, so its recorded fresh children
+     are exactly the insertions its expansion made *)
+  let account parents =
     Array.iter
       (fun (it : item) ->
-        cum := !cum + Option.value ~default:0 (Hashtbl.find_opt pmiss it.gidx);
+        cum := !cum + tree.kids.(it.gidx);
         if !cum - it.gidx > !peak then peak := !cum - it.gidx)
       parents
   in
   let is_allowed round it = round < depth_limit && it.gidx < cfg_limit in
-  let clean () =
-    { found = None; explored = !ins; insertions = !ins; hits = !hits;
-      probes = !probes; deepest = !deepest; truncated = !trunc; peak = !peak }
+  let result ~explored ~vio =
+    { witnesses = List.rev !witnesses; vio; explored; insertions = !ins;
+      hits = !hits; probes = !probes; deepest = !deepest; truncated = !trunc;
+      peak = !peak }
   in
   let rec go round cands parents =
-    let ing = ingest st ~search ~examine:true ~gbase:!gbase cands in
+    let ing = ingest st tree ~search ~examine:true cands in
     (* round 0 ingests the root, whose insertion is pre-seeded *)
     if round > 0 then begin
       hits := !hits + ing.dup_hits;
       ins := !ins + Array.length ing.items;
-      account parents ing.parent_miss
+      account parents
     end;
     let items = ing.items in
+    (* the first item of each wanted mark is its witness; the search
+       stops at the item that completes the set *)
     let stop = ref (-1) in
     Array.iteri
-      (fun j it -> if !stop < 0 && (it.vio <> None || it.decided) then stop := j)
+      (fun j (it : item) ->
+        let fresh = it.stop land want land lnot !seen in
+        if !stop < 0 && fresh <> 0 then begin
+          for b = 0 to 1 do
+            if fresh land (1 lsl b) <> 0 then
+              witnesses := (1 lsl b, schedule tree it.gidx) :: !witnesses
+          done;
+          seen := !seen lor fresh;
+          if !seen = want then stop := j
+        end)
       items;
     st.round <- round;
     if !stop >= 0 then begin
@@ -492,37 +576,35 @@ let bfs st ~search ~inputs ~mode_fields ~depth_limit ~cfg_limit =
           (List.filter (is_allowed round) (Array.to_list (Array.sub items 0 j0)))
       in
       if Array.length pre_allowed > 0 then begin
-        let dr_cands = expand st ~search pre_allowed in
-        let dr =
-          ingest st ~search ~examine:false
-            ~gbase:(!gbase + Array.length items)
-            dr_cands
-        in
+        let dr = ingest st tree ~search ~examine:false (expand st ~search pre_allowed) in
         hits := !hits + dr.dup_hits;
         ins := !ins + Array.length dr.items;
-        account pre_allowed dr.parent_miss
+        account pre_allowed
       end;
-      { found = Some (w.sched, w.vio); explored = w.gidx; insertions = !ins;
-        hits = !hits; probes = !probes; deepest = !deepest; truncated = !trunc;
-        peak = !peak }
+      result ~explored:w.gidx ~vio:w.vio
     end
     else begin
       Array.iter (fun (it : item) -> probes := !probes + it.probes) items;
       if Array.length items > 0 && round > !deepest then deepest := round;
-      gbase := !gbase + Array.length items;
       let allowed =
         Array.of_list (List.filter (is_allowed round) (Array.to_list items))
       in
       if Array.length allowed < Array.length items then trunc := true;
-      if Array.length allowed = 0 then clean ()
+      if Array.length allowed = 0 then result ~explored:!ins ~vio:None
       else begin
         let next = expand st ~search allowed in
-        if Array.length next = 0 then clean ()
+        if Array.length next = 0 then result ~explored:!ins ~vio:None
         else go (round + 1) next allowed
       end
     end
   in
-  let res = go 0 [| { rshard = root_shard; rsched = ""; parent = 0 } |] [||] in
+  (* the root is id 0 in every worker's successor table (init puts it
+     there), so its owner ingests it as a local ref *)
+  let root =
+    { shard = root_shard; src = st.assign.(root_shard); sid = 0; key = None;
+      parent = 0; ev = 0 }
+  in
+  let res = go 0 [| root |] [||] in
   (* free the search on every worker, folding its telemetry *)
   let fdoc =
     Json.Obj [ ("op", Json.Str "cluster-finish"); ("search", Json.Str search) ]
@@ -576,7 +658,7 @@ let explore_driver st =
       st.vector <- Some i;
       let search = Printf.sprintf "%s-v%d" (op_str p.op) i in
       let res =
-        bfs st ~search ~inputs ~mode_fields ~depth_limit:p.max_depth
+        bfs st ~search ~inputs ~mode_fields ~want:1 ~depth_limit:p.max_depth
           ~cfg_limit:p.max_configs
       in
       let stats =
@@ -592,16 +674,11 @@ let explore_driver st =
         }
       in
       let acc = Explore.merge_stats acc stats in
-      match res.found with
-      | None -> go (i + 1) acc rest
-      | Some (sched_s, payload) ->
-        let schedule =
-          match Msg.sched_of_string sched_s with
-          | Ok s -> s
-          | Error m -> invalid_arg ("cluster: " ^ m)
-        in
+      match res.witnesses with
+      | [] -> go (i + 1) acc rest
+      | (_, schedule) :: _ ->
         let vio =
-          match payload with
+          match res.vio with
           | None -> invalid_arg "cluster: examiner stopped without a violation"
           | Some pl -> (
             match Msg.violation_of_payload pl ~inputs ~schedule with
@@ -625,50 +702,38 @@ let explore_driver st =
   in
   Response.explore_to_json ?replay result
 
+(* Like the serial oracle's classify, one joint BFS answers both decision
+   values: each value's witness is the first item deciding it, and the
+   search stops once both are found. *)
 let valency_driver st =
   let p = st.params in
   let horizon = match p.horizon with Some h -> h | None -> 10 * p.n in
   let inputs = Array.init p.n (fun q -> Value.int (if q = 1 then 1 else 0)) in
-  let mask = (1 lsl p.n) - 1 in
-  let probe target =
-    st.vector <- Some target;
-    let mode_fields =
-      [
-        ("mode", Json.Str "valency");
-        ("target", Json.Int target);
-        ("ps_mask", Json.Int mask);
-      ]
-    in
-    bfs st
-      ~search:(Printf.sprintf "valency-v%d" target)
-      ~inputs ~mode_fields ~depth_limit:horizon ~cfg_limit:max_int
-  in
-  let r0 = probe 0 in
-  let r1 = probe 1 in
-  let wit r =
-    Option.map
-      (fun (s, _) ->
-        match Msg.sched_of_string s with
-        | Ok e -> e
-        | Error m -> invalid_arg ("cluster: " ^ m))
-      r.found
+  st.vector <- Some 0;
+  let res =
+    bfs st ~search:"valency" ~inputs
+      ~mode_fields:
+        [
+          ("mode", Json.Str "valency");
+          ("values", Json.Int 3);
+          ("ps_mask", Json.Int ((1 lsl p.n) - 1));
+        ]
+      ~want:3 ~depth_limit:horizon ~cfg_limit:max_int
   in
   let verdict =
-    match (wit r0, wit r1) with
+    match (List.assoc_opt 1 res.witnesses, List.assoc_opt 2 res.witnesses) with
     | Some w0, Some w1 -> Valency.Bivalent (w0, w1)
     | Some w0, None -> Valency.Univalent (Valency.zero, w0)
     | None, Some w1 -> Valency.Univalent (Valency.one, w1)
     | None, None -> Valency.Blocked
   in
-  (* the serial oracle answers both values with one joint BFS, which runs
-     exactly as long as the longer of the two single-value searches *)
   let stats =
     {
       Valency.searches = 1;
-      nodes_expanded = max r0.explored r1.explored;
+      nodes_expanded = res.explored;
       memo_hits = 0;
       memo_misses = 2;
-      peak_frontier = max r0.peak r1.peak;
+      peak_frontier = res.peak;
     }
   in
   Response.valency_to_json ~inputs ~horizon verdict stats
@@ -681,9 +746,11 @@ let mk_failure st reason =
     (fun s w -> if not st.peers.(w).alive then lost := s :: !lost)
     st.assign;
   let survivors = List.filter (fun pr -> pr.alive) (Array.to_list st.peers) in
+  (* a refusal would be refused again anywhere: there is no retry to
+     place shards for *)
   let reassignment =
-    match survivors with
-    | [] -> []
+    match (reason, survivors) with
+    | `Refused _, _ | _, [] -> []
     | _ ->
       let arr = Array.of_list survivors in
       List.init st.params.shards (fun s -> (s, arr.(s mod Array.length arr).wid))
@@ -698,14 +765,17 @@ let mk_failure st reason =
   }
 
 let failure_to_json f =
+  let status, reason, refusal =
+    match f.reason with
+    | `Dead_workers -> ("partial", "dead-workers", [])
+    | `Deadline -> ("partial", "deadline", [])
+    | `Refused (code, msg) ->
+      ("refused", "refused", [ ("code", Json.Str code); ("message", Json.Str msg) ])
+  in
   Json.Obj
-    [
-      ("status", Json.Str "partial");
-      ( "reason",
-        Json.Str
-          (match f.reason with
-          | `Dead_workers -> "dead-workers"
-          | `Deadline -> "deadline") );
+    ([ ("status", Json.Str status); ("reason", Json.Str reason) ]
+    @ refusal
+    @ [
       ( "dead",
         Json.List
           (List.map
@@ -721,7 +791,7 @@ let failure_to_json f =
       ("completed_rounds", Json.Int f.completed_rounds);
       ( "vector",
         match f.vector with None -> Json.Null | Some v -> Json.Int v );
-    ]
+    ])
 
 let telemetry_json st =
   let workers =
@@ -775,6 +845,7 @@ let run_once params peers_arr =
   with
   | Dead_peers -> Failed (mk_failure st `Dead_workers)
   | Deadline_hit -> Failed (mk_failure st `Deadline)
+  | Refused (code, msg) -> Failed (mk_failure st (`Refused (code, msg)))
 
 let run ?(restarts = 0) params ~peers =
   if peers = [] then invalid_arg "cluster: at least one worker required";

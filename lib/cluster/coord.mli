@@ -13,10 +13,16 @@
     the resulting [result] documents byte-identical to the serial
     engine's.
 
+    Configurations never reach the coordinator: it keeps each frontier
+    item's parent index and event, and rebuilds a schedule by walking
+    parents — for a candidate routed to another worker, and for a
+    witness.
+
     A worker death (the resilient client exhausting its retries) or a
     blown coordinator deadline produces a structured {!failure} naming
     the dead workers, the shards lost with them and the reassignment a
-    retry would use — degraded, never wrong. *)
+    retry would use — degraded, never wrong.  A worker's typed error
+    reply is a refusal of the request, not a death. *)
 
 module Json := Ts_analysis.Json
 
@@ -73,7 +79,11 @@ val default_params : params
 (** {1 Outcomes} *)
 
 type failure = {
-  reason : [ `Dead_workers | `Deadline ];
+  reason : [ `Dead_workers | `Deadline | `Refused of string * string ];
+      (** [`Refused (code, message)]: a worker answered with a typed error
+          envelope (an engine error, a bad request).  No worker is marked
+          dead, [lost_shards] and [reassignment] are empty, and {!run}
+          does not restart: the same request would be refused again. *)
   dead : (int * string) list;  (** worker id, last error *)
   lost_shards : int list;  (** shards whose visited sets died with them *)
   reassignment : (int * int) list;

@@ -4,10 +4,20 @@ module Explore = Ts_checker.Explore
 module Obs = Ts_obs.Obs
 
 (* What the per-configuration work of a search is: the property examine
-   of check/resilient, or the reachability test of a valency probe. *)
+   of check/resilient, or the reachability test of a valency probe for a
+   mask of wanted decision values. *)
 type 's skind =
   | Exam of 's Explore.examiner
-  | Reach of Value.t * Pset.t
+  | Reach of int * Pset.t
+
+(* A successor made by this worker's expand, kept for one round: the
+   configuration never leaves the worker, only its key does (and only
+   when another worker owns it). *)
+type 's made = {
+  cfg : 's Config.t;
+  key : Ckey.t;
+  shard : int;
+}
 
 type 's search = {
   proto : 's Protocol.t;
@@ -15,12 +25,17 @@ type 's search = {
   inputs : Value.t array;
   skind : 's skind;
   shards : int;
-  (* shard -> visited raw-digest set; a table appears on the first
-     ingest for its shard *)
-  visited : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  (* worker-local candidate index -> materialized config + forward
-     schedule, for the round's expand phase *)
-  pending : (int, 's Config.t * Execution.event list) Hashtbl.t;
+  owners : int array;  (* shard -> worker position *)
+  self : int;  (* this worker's position *)
+  (* shard -> visited key set; a table appears on the first lookup in
+     its shard *)
+  visited : unit Ckey.Tbl.t option array;
+  (* the round's fresh items, numbered in ingest order, for the expand
+     phase *)
+  pending : (int, 's Config.t) Hashtbl.t;
+  (* the round's successors, numbered in expand order, for the next
+     ingest's local refs; at init, the root as id 0 *)
+  made : (int, 's made) Hashtbl.t;
   mutable last_seq : int;
   mutable last_reply : string option;
   (* telemetry, reported at finish *)
@@ -29,6 +44,7 @@ type 's search = {
   mutable expanded : int;
   mutable inserted : int;
   mutable dup_hits : int;
+  mutable replayed : int;
 }
 
 type packed = Search : 's search -> packed
@@ -52,11 +68,11 @@ let bad code msg = raise (Bad (code, msg))
 let or_bad code = function Ok v -> v | Error msg -> bad code msg
 
 let visited_for s shard =
-  match Hashtbl.find_opt s.visited shard with
+  match s.visited.(shard) with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 1024 in
-    Hashtbl.replace s.visited shard tbl;
+    let tbl = Ckey.Tbl.create 1024 in
+    s.visited.(shard) <- Some tbl;
     tbl
 
 (* --- init ---------------------------------------------------------------- *)
@@ -73,7 +89,20 @@ let handle_init t doc =
   let$ n = Msg.get_int doc "n" in
   let$ mode = Msg.get_str doc "mode" in
   let$ shards = Msg.get_int doc "shards" in
+  let$ self = Msg.get_int doc "self" in
+  let$ owners = Msg.get_list doc "owners" in
   if shards <= 0 then bad "bad-request" "shards must be positive";
+  let owners =
+    Array.of_list
+      (List.map
+         (fun o ->
+           match Json.to_int_opt o with
+           | Some w when w >= 0 -> w
+           | _ -> bad "bad-request" "owners must be worker positions")
+         owners)
+  in
+  if Array.length owners <> shards then
+    bad "bad-request" "owners must name one worker per shard";
   let inputs = parse_inputs doc in
   let (Protocol.Packed proto) =
     match Ts_protocols.Catalog.find name ~n with
@@ -101,99 +130,134 @@ let handle_init t doc =
        | ex -> Exam ex
        | exception Invalid_argument msg -> bad "invalid-argument" msg)
     | "valency" ->
-      let target = or_bad "bad-request" (Msg.get_int doc "target") in
+      let values = or_bad "bad-request" (Msg.get_int doc "values") in
+      if values < 1 || values > 3 then
+        bad "bad-request" "values must be a nonempty mask of {0, 1}";
       let mask = or_bad "bad-request" (Msg.get_int doc "ps_mask") in
       let ps = Pset.filter (fun p -> mask land (1 lsl p) <> 0) (Pset.all n) in
-      Reach (Value.int target, ps)
+      Reach (values, ps)
     | m -> bad "bad-request" (Printf.sprintf "unknown mode %S" m)
   in
   let pk = Ckey.packer proto in
+  let root = Config.initial proto ~inputs in
+  let key = Ckey.pack pk root in
+  let root_shard = Shard.owner ~shards key in
+  let root_made = { cfg = root; key; shard = root_shard } in
   let s =
     {
-      proto; pk; inputs; skind; shards;
-      visited = Hashtbl.create 16;
+      proto; pk; inputs; skind; shards; owners; self;
+      visited = Array.make shards None;
       pending = Hashtbl.create 256;
+      made = Hashtbl.create 256;
       last_seq = 0;
       last_reply = None;
       ingested = 0; examined = 0; expanded = 0; inserted = 0; dup_hits = 0;
+      replayed = 0;
     }
   in
+  Hashtbl.replace s.made 0 root_made;
   (* re-init of a known id replaces it: init is the coordinator's first
      message per search, so a replacement only ever discards a state the
      same coordinator abandoned *)
   Hashtbl.replace t.searches search_id (Search s);
   log t "init %s: %s n=%d mode=%s shards=%d" search_id name n mode shards;
-  let root = Config.initial proto ~inputs in
-  let root_shard = Shard.owner ~shards (Ckey.pack pk root) in
   Json.Obj [ ("ready", Json.Bool true); ("root_shard", Json.Int root_shard) ]
 
 (* --- per-round messages -------------------------------------------------- *)
 
+(* A remote candidate's configuration, replayed from its schedule; the
+   key it arrived under must be the key the replay produces. *)
+let replay s key events =
+  match
+    Execution.apply s.proto (Config.initial s.proto ~inputs:s.inputs) events
+  with
+  | exception _ -> bad "bad-request" "remote schedule does not replay"
+  | cfg, _ ->
+    if not (Ckey.equal (Ckey.pack s.pk cfg) key) then
+      bad "bad-request" "remote key does not match its schedule";
+    s.replayed <- s.replayed + 1;
+    cfg
+
+(* The stopping marks of a fresh configuration (Msg.verdict) and the
+   probe misses its examine ran; a violation payload goes to [vio]. *)
+let examine s cfg ~vio =
+  s.examined <- s.examined + 1;
+  match s.skind with
+  | Exam ex -> (
+    match Explore.examine ex cfg ~schedule:[] with
+    | None, probes -> (0, probes)
+    | Some v, probes ->
+      vio (Msg.violation_payload_to_json v);
+      (1, probes))
+  | Reach (values, _) ->
+    let marks = ref 0 in
+    for v = 0 to 1 do
+      if values land (1 lsl v) <> 0 && Config.decides cfg (Value.int v) then
+        marks := !marks lor (1 lsl v)
+    done;
+    (!marks, 0)
+
 let handle_ingest (Search s) doc =
   let reset = or_bad "bad-request" (Msg.get_bool_opt doc "reset" ~default:false) in
-  let base = or_bad "bad-request" (Msg.get_int_opt doc "base" ~default:0) in
   let do_examine =
     or_bad "bad-request" (Msg.get_bool_opt doc "examine" ~default:true)
   in
   let cands =
     or_bad "bad-request"
-      (Msg.cands_of_json
-         (match Json.member "cands" doc with
-          | Some l -> l
-          | None -> Json.List []))
+      (Msg.cands_of_block (or_bad "bad-request" (Msg.get_str doc "cands")))
   in
   if reset then Hashtbl.reset s.pending;
   let sp = Obs.enter ~cat:"cluster" "cluster.ingest" in
-  let flags = Buffer.create (List.length cands) in
-  let exams = ref [] in
-  List.iteri
-    (fun i { Msg.shard; sched } ->
-      s.ingested <- s.ingested + 1;
-      let events = or_bad "bad-request" (Msg.sched_of_string sched) in
-      let cfg, _ =
-        Execution.apply s.proto (Config.initial s.proto ~inputs:s.inputs) events
-      in
-      let raw = Ckey.to_raw (Ckey.pack s.pk cfg) in
-      let tbl = visited_for s shard in
-      if Hashtbl.mem tbl raw then begin
-        s.dup_hits <- s.dup_hits + 1;
-        Buffer.add_char flags '0'
-      end
-      else begin
-        Hashtbl.replace tbl raw ();
-        s.inserted <- s.inserted + 1;
-        Buffer.add_char flags '1';
-        let idx = base + i in
-        Hashtbl.replace s.pending idx (cfg, events);
-        if do_examine then begin
-          s.examined <- s.examined + 1;
-          match s.skind with
-          | Exam ex ->
-            let vio, probes = Explore.examine ex cfg ~schedule:events in
-            let entry =
-              [ ("i", Json.Int idx); ("p", Json.Int probes) ]
-              @
-              match vio with
-              | None -> []
-              | Some v -> [ ("v", Msg.violation_payload_to_json v) ]
-            in
-            exams := Json.Obj entry :: !exams
-          | Reach (v, _) ->
-            if Config.decides cfg v then
-              exams := Json.Obj [ ("i", Json.Int idx); ("d", Json.Bool true) ] :: !exams
+  let vios = ref [] in
+  let verdicts =
+    List.map
+      (fun cand ->
+        s.ingested <- s.ingested + 1;
+        (* dedupe on the key first: only a fresh remote candidate is
+           ever replayed *)
+        let key, shard, cfg =
+          match cand with
+          | Msg.Local id -> (
+            match Hashtbl.find_opt s.made id with
+            | Some m -> (m.key, m.shard, fun () -> m.cfg)
+            | None -> bad "bad-request" (Printf.sprintf "no local successor %d" id))
+          | Msg.Remote (raw, events) ->
+            let key = Ckey.of_string raw in
+            (key, Shard.owner ~shards:s.shards key, fun () -> replay s key events)
+        in
+        if s.owners.(shard) <> s.self then
+          bad "bad-request" (Printf.sprintf "shard %d is not held here" shard);
+        let tbl = visited_for s shard in
+        if Ckey.Tbl.mem tbl key then begin
+          s.dup_hits <- s.dup_hits + 1;
+          Msg.Dup
         end
-      end)
-    cands;
+        else begin
+          Ckey.Tbl.replace tbl key ();
+          s.inserted <- s.inserted + 1;
+          let cfg = cfg () in
+          let idx = Hashtbl.length s.pending in
+          Hashtbl.replace s.pending idx cfg;
+          if do_examine then
+            let stop, probes =
+              examine s cfg ~vio:(fun v ->
+                  vios := Json.Obj [ ("i", Json.Int idx); ("v", v) ] :: !vios)
+            in
+            Msg.Fresh { stop; probes }
+          else Msg.Fresh { stop = 0; probes = 0 }
+        end)
+      cands
+  in
   Obs.set_int sp "cands" (List.length cands);
   Obs.close sp;
   Obs.Metrics.incr ~by:(List.length cands) "cluster.ingested";
   Json.Obj
-    [ ("flags", Json.Str (Buffer.contents flags));
-      ("exams", Json.List (List.rev !exams)) ]
+    [ ("flags", Json.Str (Msg.verdicts_to_block verdicts));
+      ("vios", Json.List (List.rev !vios)) ]
 
 (* Successors in the serial engine's order, so the coordinator can
-   rebuild the serial frontier. *)
-let successor_cands s cfg events =
+   rebuild the serial frontier; each is kept under the next id. *)
+let successors s cfg =
   let ps =
     match s.skind with
     | Exam _ -> Pset.all s.proto.Protocol.num_processes
@@ -201,35 +265,38 @@ let successor_cands s cfg events =
   in
   let acc = ref [] in
   Config.iter_successors s.proto cfg ps (fun pid coin cfg' ->
+      let key = Ckey.pack s.pk cfg' in
+      let shard = Shard.owner ~shards:s.shards key in
+      Hashtbl.replace s.made (Hashtbl.length s.made) { cfg = cfg'; key; shard };
       acc :=
-        { Msg.shard = Shard.owner ~shards:s.shards (Ckey.pack s.pk cfg');
-          sched = Msg.sched_to_string (events @ [ { Execution.pid; coin } ]) }
+        { Msg.event = { Execution.pid; coin };
+          shard;
+          key = (if s.owners.(shard) = s.self then None else Some (Ckey.to_raw key)) }
         :: !acc);
   List.rev !acc
 
 let handle_expand (Search s) doc =
-  let items = or_bad "bad-request" (Msg.get_list doc "items") in
+  let reset = or_bad "bad-request" (Msg.get_bool_opt doc "reset" ~default:false) in
+  let items =
+    or_bad "bad-request"
+      (Msg.ints_of_block (or_bad "bad-request" (Msg.get_str doc "items")))
+  in
+  if reset then Hashtbl.reset s.made;
   let sp = Obs.enter ~cat:"cluster" "cluster.expand" in
   let out =
     List.map
-      (fun item ->
-        let idx =
-          match Json.to_int_opt item with
-          | Some i -> i
-          | None -> bad "bad-request" "items must be integers"
-        in
+      (fun idx ->
         match Hashtbl.find_opt s.pending idx with
         | None -> bad "bad-request" (Printf.sprintf "no pending item %d" idx)
-        | Some (cfg, events) ->
+        | Some cfg ->
           s.expanded <- s.expanded + 1;
-          let succs = successor_cands s cfg events in
-          Json.Obj [ ("i", Json.Int idx); ("c", Msg.cands_to_json succs) ])
+          successors s cfg)
       items
   in
   Obs.set_int sp "items" (List.length items);
   Obs.close sp;
   Obs.Metrics.incr ~by:(List.length items) "cluster.expanded";
-  Json.Obj [ ("out", Json.List out) ]
+  Json.Obj [ ("succs", Json.Str (Msg.succs_to_block ~shards:s.shards out)) ]
 
 let stats_json (Search s) =
   Json.Obj
@@ -239,7 +306,9 @@ let stats_json (Search s) =
       ("expanded", Json.Int s.expanded);
       ("inserted", Json.Int s.inserted);
       ("dup_hits", Json.Int s.dup_hits);
-      ("shards_held", Json.Int (Hashtbl.length s.visited));
+      ("replayed", Json.Int s.replayed);
+      ("shards_held",
+        Json.Int (Array.fold_left (fun n t -> if Option.is_some t then n + 1 else n) 0 s.visited));
     ]
 
 (* --- dispatch ------------------------------------------------------------ *)

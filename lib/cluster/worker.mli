@@ -2,12 +2,17 @@
     search.
 
     A worker owns, per active search, a set of per-shard visited tables
-    (keyed by raw {!Ts_model.Ckey} digests) and answers the
-    coordinator's round messages: {b ingest} (deduplicate a batch of
-    frontier candidates against the owner shard's table, examine the
-    fresh ones), {b expand} (enumerate successors of previously
-    ingested configurations, tagged with their owner shards), and
-    {b finish} (drop the search, report telemetry).  All compute runs
+    (keyed by {!Ts_model.Ckey}s) and the current round's configurations,
+    and answers the coordinator's round messages: {b ingest}
+    (deduplicate a batch of frontier candidates on their keys against
+    the owner shard's table, examine the fresh ones), {b expand}
+    (enumerate successors of the round's fresh configurations, keep
+    them, and report each one's event and owner shard — plus its key
+    when another worker owns that shard), and {b finish} (drop the
+    search, report telemetry).  A candidate this worker made itself
+    arrives as a local ref and is never replayed; one made elsewhere
+    arrives as a key and a schedule, replayed only if the key is
+    fresh.  All compute runs
     on the event-loop domain — a worker is single-threaded by design;
     parallelism is across workers.
 

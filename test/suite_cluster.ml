@@ -55,6 +55,7 @@ let test_round_robin () =
 (* --- codecs -------------------------------------------------------------- *)
 
 let test_sched_codec () =
+  (* schedules travel as event codes inside remote candidates *)
   let scheds =
     [
       [];
@@ -65,21 +66,50 @@ let test_sched_codec () =
   in
   List.iter
     (fun s ->
-      match Msg.sched_of_string (Msg.sched_to_string s) with
-      | Ok s' -> Alcotest.(check bool) "roundtrip" true (s = s')
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) "event code roundtrip" true
+            (Msg.event_of_code (Msg.event_code e) = e))
+        s;
+      match Msg.cands_of_block (Msg.cands_to_block [ Msg.Remote ("k", s) ]) with
+      | Ok [ Msg.Remote ("k", s') ] -> Alcotest.(check bool) "roundtrip" true (s = s')
+      | Ok _ -> Alcotest.fail "wrong candidate decoded"
       | Error m -> Alcotest.fail m)
     scheds;
-  (match Msg.sched_of_string "0,,1" with
+  (* a schedule cut short inside its block is rejected, not guessed *)
+  let full = Msg.cands_to_block [ Msg.Remote ("k", [ Execution.ev 0; Execution.ev 1 ]) ] in
+  match Msg.cands_of_block (String.sub full 0 (String.length full - 4)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty token must be rejected")
+  | Ok _ -> Alcotest.fail "truncated schedule must be rejected"
 
 let test_cand_codec () =
-  let cands =
-    [ { Msg.shard = 0; sched = "" }; { Msg.shard = 7; sched = "0,1h,1t,2" } ]
+  let roundtrip name enc dec v =
+    match dec (enc v) with
+    | Ok v' -> Alcotest.(check bool) name true (v = v')
+    | Error m -> Alcotest.fail (name ^ ": " ^ m)
   in
-  match Msg.cands_of_json (Msg.cands_to_json cands) with
-  | Ok c -> Alcotest.(check bool) "roundtrip" true (c = cands)
-  | Error m -> Alcotest.fail m
+  roundtrip "candidates" Msg.cands_to_block Msg.cands_of_block
+    [ Msg.Local 0; Msg.Local 1; Msg.Remote ("\000\255key", [ Execution.flip 2 true ]);
+      Msg.Local 7; Msg.Local 3; Msg.Remote ("", []); Msg.Local 300 ];
+  roundtrip "verdicts" Msg.verdicts_to_block Msg.verdicts_of_block
+    [ Msg.Dup; Msg.Fresh { stop = 0; probes = 3 }; Msg.Fresh { stop = 3; probes = 0 };
+      Msg.Fresh { stop = 1; probes = 1000 }; Msg.Dup ];
+  roundtrip "indices" Msg.ints_to_block Msg.ints_of_block [ 0; 1; 2; 5; 4; 100_000 ];
+  roundtrip "successors" (Msg.succs_to_block ~shards:5) (Msg.succs_of_block ~shards:5)
+    [ [ { Msg.event = Execution.ev 0; shard = 4; key = None };
+        { Msg.event = Execution.flip 1 false; shard = 0; key = Some "abc" } ];
+      [];
+      [ { Msg.event = Execution.ev 2; shard = 2; key = Some "" } ] ];
+  (* a local ref costs one byte in an increasing run: four base64
+     characters carry three of them *)
+  Alcotest.(check int) "compact local refs" 4
+    (String.length (Msg.cands_to_block [ Msg.Local 0; Msg.Local 1; Msg.Local 2 ]));
+  List.iter
+    (fun bad ->
+      match Msg.verdicts_of_block bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "block %S must be rejected" bad))
+    [ "gA=="; "AAA"; "A*=="; "=AAA" ]
 
 (* --- worker wire surface --------------------------------------------------- *)
 
@@ -97,6 +127,7 @@ let test_removed_ops_rejected () =
     call
       [ ("op", Json.Str "cluster-init"); search; ("protocol", Json.Str "racing");
         ("n", Json.Int 2); ("mode", Json.Str "check"); ("shards", Json.Int 2);
+        ("owners", Json.List [ Json.Int 0; Json.Int 0 ]); ("self", Json.Int 0);
         ("solo_budget", Json.Int 300);
         ("inputs", Json.List [ Json.Int 0; Json.Int 1 ]) ]
   in
@@ -106,7 +137,7 @@ let test_removed_ops_rejected () =
       match Option.bind (Json.member "root_shard" r) Json.to_int_opt with
       | Some s -> s
       | None -> Alcotest.fail "init reply missing root_shard")
-    | Error m -> Alcotest.fail m
+    | Error (_, m) -> Alcotest.fail m
   in
   List.iter
     (fun op ->
@@ -126,13 +157,18 @@ let test_removed_ops_rejected () =
     call
       [ ("op", Json.Str "cluster-ingest"); search; ("seq", Json.Int 1);
         ("reset", Json.Bool true);
-        ("cands", Msg.cands_to_json [ { Msg.shard = root_shard; sched = "" } ]) ]
+        ("cands", Json.Str (Msg.cands_to_block [ Msg.Local 0 ])) ]
   in
   match Msg.result_of_envelope ingest with
   | Ok r ->
-    Alcotest.(check (option string)) "seq 1 still executes" (Some "1")
-      (Option.bind (Json.member "flags" r) Json.to_str_opt)
-  | Error m -> Alcotest.fail m
+    Alcotest.(check bool) "seq 1 still executes" true
+      (match
+         Option.map Msg.verdicts_of_block
+           (Option.bind (Json.member "flags" r) Json.to_str_opt)
+       with
+       | Some (Ok [ Msg.Fresh _ ]) -> true
+       | _ -> false)
+  | Error (_, m) -> Alcotest.fail m
 
 (* --- the parallel == serial differential ---------------------------------- *)
 
@@ -372,6 +408,108 @@ let test_chaos_leg () =
   Alcotest.(check bool) "every connection was faulted" true
     (s.Chaos.connections > 0 && s.Chaos.faulted = s.Chaos.connections)
 
+(* --- key routing at n = 3 ---------------------------------------------------- *)
+
+let test_differential_racing_rand_n3 () =
+  (* coin flips make two successors per flipping process, heads before
+     tails; with 2 and 3 workers most successors are remote keys whose
+     owners replay them from coordinator-built schedules *)
+  let p = check_params ~protocol:"racing-rand" ~n:3 ~max_configs:600 ~max_depth:40 in
+  let r = check_req ~protocol:"racing-rand" ~n:3 ~max_configs:600 ~max_depth:40 in
+  differential ~workers:1 p r;
+  differential ~workers:2 p r;
+  differential ~workers:3 p r
+
+let test_differential_violation_n3 () =
+  (* the drain pass at a violation ingests duplicates arriving from
+     every worker *)
+  let p = check_params ~protocol:"broken-lww" ~n:3 ~max_configs:3000 ~max_depth:20 in
+  let r = check_req ~protocol:"broken-lww" ~n:3 ~max_configs:3000 ~max_depth:20 in
+  differential ~workers:3 p r
+
+(* --- refusals ---------------------------------------------------------------- *)
+
+let test_refusal_is_not_death () =
+  (* broken-rogue reads a register it does not have: the worker answers
+     with a typed error, which must stop the run as a refusal — no dead
+     worker, no lost shard, no restart *)
+  let inits = ref 0 in
+  let real = Coord.local_peer ~wid:0 (Worker.create ()) in
+  let peer =
+    {
+      real with
+      Coord.call =
+        (fun doc ->
+          if Json.member "op" doc = Some (Json.Str "cluster-init") then incr inits;
+          real.Coord.call doc);
+    }
+  in
+  let p = check_params ~protocol:"broken-rogue" ~n:2 ~max_configs:400 ~max_depth:12 in
+  match Coord.run ~restarts:2 p ~peers:[ peer ] with
+  | Coord.Complete _ -> Alcotest.fail "broken-rogue must be refused"
+  | Coord.Failed f ->
+    (match f.Coord.reason with
+     | `Refused (code, _) -> Alcotest.(check string) "code" "internal" code
+     | _ -> Alcotest.fail "expected a refusal");
+    Alcotest.(check int) "no dead worker" 0 (List.length f.Coord.dead);
+    Alcotest.(check (list int)) "no lost shard" [] f.Coord.lost_shards;
+    Alcotest.(check bool) "peer still alive" true peer.Coord.alive;
+    Alcotest.(check int) "not restarted" 1 !inits;
+    Alcotest.(check (option string)) "status" (Some "refused")
+      (Option.bind (Json.member "status" (Coord.failure_to_json f)) Json.to_str_opt)
+
+let test_malformed_blocks_rejected () =
+  (* a bad block or a ref the worker never made is a typed bad-request,
+     never an internal exception *)
+  let w = Worker.create () in
+  let call fields =
+    match Json.of_string (Worker.handle w (Json.to_string (Json.Obj fields))) with
+    | Ok d -> d
+    | Error m -> Alcotest.fail m
+  in
+  let search = ("search", Json.Str "s") in
+  (match
+     Msg.result_of_envelope
+       (call
+          [ ("op", Json.Str "cluster-init"); search; ("protocol", Json.Str "racing");
+            ("n", Json.Int 2); ("mode", Json.Str "check"); ("shards", Json.Int 1);
+            ("owners", Json.List [ Json.Int 0 ]); ("self", Json.Int 0);
+            ("solo_budget", Json.Int 300);
+            ("inputs", Json.List [ Json.Int 0; Json.Int 1 ]) ])
+   with
+  | Ok _ -> ()
+  | Error (_, m) -> Alcotest.fail m);
+  let code_of fields =
+    match Msg.result_of_envelope (call fields) with
+    | Ok _ -> "ok"
+    | Error (code, _) -> code
+  in
+  let ingest block =
+    [ ("op", Json.Str "cluster-ingest"); search; ("seq", Json.Int 1);
+      ("reset", Json.Bool true); ("cands", Json.Str block) ]
+  in
+  List.iter
+    (fun (what, block) ->
+      Alcotest.(check string) what "bad-request" (code_of (ingest block)))
+    [
+      ("bad base64", "!!!!");
+      ("truncated varint", "gA==");
+      ("unknown local ref", Msg.cands_to_block [ Msg.Local 5 ]);
+      ("remote key off its schedule",
+        Msg.cands_to_block [ Msg.Remote ("not a key", [ Execution.ev 0 ]) ]);
+      ("unreplayable schedule",
+        Msg.cands_to_block [ Msg.Remote ("k", [ Execution.ev 9 ]) ]);
+    ];
+  Alcotest.(check string) "missing block" "bad-request"
+    (code_of [ ("op", Json.Str "cluster-expand"); search; ("seq", Json.Int 1) ]);
+  Alcotest.(check string) "unknown pending item" "bad-request"
+    (code_of
+       [ ("op", Json.Str "cluster-expand"); search; ("seq", Json.Int 1);
+         ("items", Json.Str (Msg.ints_to_block [ 3 ])) ]);
+  (* none of the refusals consumed seq 1: the root still ingests *)
+  Alcotest.(check string) "root ingests" "ok"
+    (code_of (ingest (Msg.cands_to_block [ Msg.Local 0 ])))
+
 let suite =
   ( "cluster",
     [
@@ -402,4 +540,12 @@ let suite =
         test_duplicate_delivery_is_replayed;
       Alcotest.test_case "chaos: fully faulted proxy still converges" `Quick
         test_chaos_leg;
+      Alcotest.test_case "differential: racing-rand n=3 (1/2/3 workers)" `Quick
+        test_differential_racing_rand_n3;
+      Alcotest.test_case "differential: violation n=3, 3 workers" `Quick
+        test_differential_violation_n3;
+      Alcotest.test_case "refusal is not a dead worker" `Quick
+        test_refusal_is_not_death;
+      Alcotest.test_case "worker: malformed blocks are bad-request" `Quick
+        test_malformed_blocks_rejected;
     ] )
